@@ -31,6 +31,9 @@ def C_ij(i: int, j: int) -> float:
     return math.log(2) * float(C_ij_scale(i, j))
 
 
+C_2_3 = C_ij(2, 3)  # the paper's C = (5/6) log 2, computed once
+
+
 def h_short(x: float, i: int, j: int, epsilon: float) -> float:
     """Short-interval length exp((C_{i,j} + 2*eps) * log x / log log x)."""
     _check_x(x)
@@ -48,7 +51,7 @@ def gap_envelope(x: float, epsilon: float, c_eps: float) -> float:
     if c_eps <= 0:
         raise DomainError(f"C_eps must be positive, got {c_eps}")
     lx = math.log(x)
-    return c_eps * math.exp((C_ij(2, 3) + epsilon) * lx / math.log(lx))
+    return c_eps * math.exp((C_2_3 + epsilon) * lx / math.log(lx))
 
 
 def survival_bound(x: float, C: float, E: float, epsilon: float) -> float:
@@ -59,7 +62,7 @@ def survival_bound(x: float, C: float, E: float, epsilon: float) -> float:
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     lx = math.log(x)
-    return math.exp(-C * E * math.exp((C_ij(2, 3) + epsilon) * lx / math.log(lx)))
+    return math.exp(-C * E * math.exp((C_2_3 + epsilon) * lx / math.log(lx)))
 
 
 def p_default(x: int) -> float:

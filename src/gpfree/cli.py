@@ -6,11 +6,12 @@ Every subcommand prints an output envelope:
      "elapsed_ms": ...}
 
 Identical command + seed + config produce a byte-identical payload
-(elapsed_ms excluded).  Exit codes: 0 success, 1 domain error, 2 usage
-error, 3 resource limit.
+(elapsed_ms excluded).  Exit codes: 0 success, 1 domain error or closed
+output pipe, 2 usage error, 3 resource limit.
 
 Worker counts come from --workers, falling back to the GPFREE_WORKERS
-environment variable, then to the available parallelism.  A --config FILE of
+environment variable, then to the available parallelism; `process run`
+accepts --workers and ignores it.  A --config FILE of
 key=value lines may preset the resource budgets of gpfree.limits.Limits.
 """
 
@@ -37,10 +38,17 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+class UsageError(GPFreeError):
+    """Malformed command-line input (exit 2)."""
+
+
 def _default_workers() -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise UsageError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -57,12 +65,12 @@ def _load_limits(path: str | None) -> Limits:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key in int_keys:
-                overrides[key] = int(value)
-            elif key == "search_time_budget_s":
-                overrides[key] = float(value)
-            else:
+            if key not in int_keys and key != "search_time_budget_s":
                 raise GPFreeError(f"unknown config key {key!r}")
+            try:
+                overrides[key] = int(value) if key in int_keys else float(value)
+            except ValueError:
+                raise UsageError(f"config key {key!r} has bad value {value!r}") from None
     return DEFAULT_LIMITS.with_overrides(**overrides)
 
 
@@ -82,7 +90,8 @@ def _emit(args, payload: dict, seed=None, elapsed_ms: float = 0.0) -> None:
         "payload": payload,
         "elapsed_ms": round(elapsed_ms, 3),
     }
-    json.dump(envelope, sys.stdout, sort_keys=True)
+    # json.dumps uses the C encoder; json.dump would stream through the Python one
+    sys.stdout.write(json.dumps(envelope, sort_keys=True))
     sys.stdout.write("\n")
 
 
@@ -181,7 +190,7 @@ def cmd_process_gaps(args):
         "fitted_c_eps": rep.fitted_c_eps,
         "gap_count": len(rep.gaps),
         "columns": ["t", "gap"],
-        "rows": [list(g) for g in rep.gaps],
+        "rows": rep.gaps,  # (t, gap) tuples; JSON writes them as arrays
     }
 
 
@@ -247,7 +256,7 @@ def cmd_bounds_envelope(args):
         xs = [args.x0 * ratio**p for p in range(args.points)]
     rows = [[x, bounds.gap_envelope(x, args.epsilon, args.c_eps)] for x in xs]
     return {
-        "C_2_3": bounds.C_ij(2, 3),
+        "C_2_3": bounds.C_2_3,
         "epsilon": args.epsilon,
         "c_eps": args.c_eps,
         "columns": ["x", "value"],
@@ -269,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             sp.add_argument("--config", default=None, help="key=value budget file")
         if workers:
-            sp.add_argument("--workers", type=int, default=_default_workers())
+            sp.add_argument("--workers", type=int, default=None,
+                            help=f"default: ${WORKERS_ENV} or the CPU count")
 
     gp = sub.add_parser("gp", help="geometric-progression core").add_subparsers(
         dest="sub", required=True)
@@ -382,16 +392,31 @@ def main(argv=None) -> int:
         args.config = None
     t0 = time.perf_counter()
     try:
+        if getattr(args, "workers", 1) is None:
+            args.workers = _default_workers()
         payload = args.func(args)
+        if payload is not None:
+            _emit(args, payload, seed=getattr(args, "seed", None),
+                  elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+        sys.stdout.flush()
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except GPFreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    if payload is not None:
-        _emit(args, payload, seed=getattr(args, "seed", None),
-              elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the exit-time
+        # flush of what is still buffered cannot raise again
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # stdout is not a file descriptor
+            pass
+        print("error: output closed early (broken pipe)", file=sys.stderr)
+        return EXIT_DOMAIN
     return EXIT_OK
 
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, isqrt
+from math import isqrt
 from typing import Callable, Optional
 
-from .bounds import gap_envelope, p_default
+import numpy as np
+
+from .bounds import C_2_3, gap_envelope, p_default
 from .errors import DomainError, ResourceLimit, TooFewSurvivors
 from .gpcore import (
     INTEGER,
@@ -35,10 +36,9 @@ from .limits import DEFAULT_LIMITS, Limits
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_HALF = 1 << 63  # coin < 1/2  <=>  hash bits < 2**63
 _INV53 = 2.0**-53
-
-CoinFn = Callable[[int, int, int, int, int], float]
+_G, _FM1, _FM2 = (np.uint64(v) for v in (_GOLDEN, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53))
+_S33, _S11 = np.uint64(33), np.uint64(11)
 
 
 def _mix64(z: int) -> int:
@@ -98,154 +98,140 @@ class ProcessRun:
         return frozenset(self.removed)
 
     def survivors(self) -> list[int]:
-        gone = set(self.removed)
-        return [n for n in range(1, self.config.n + 1) if n not in gone]
+        return np.flatnonzero(_alive(self)).tolist()
+
+
+def _alive(run_: ProcessRun) -> np.ndarray:
+    """Mask over 0..n: True at the survivors (index 0 is never alive)."""
+    mask = np.ones(run_.config.n + 1, dtype=bool)
+    mask[0] = False
+    mask[np.array(run_.removed, dtype=np.int64)] = False
+    return mask
 
 
 # ---------------------------------------------------------------------------
-# enumeration kernels (top-level so worker processes can pickle them)
+# the vector kernel
 
-def _bc_classes(n: int, eb: int, ec: int) -> list[tuple[int, int]]:
-    """Coprime (b, c), b < c, with b**eb * c**ec <= n."""
-    out = []
-    c = 2
-    while c**ec <= n:
-        for b in range(1, c):
-            if b**eb * c**ec > n:
-                break
-            if gcd(b, c) == 1:
-                out.append((b, c))
-        c += 1
-    return out
+_CHUNK = 1 << 16  # classes or progressions per array pass; bounds memory
+_NEAR = 1e-9      # coins this close to a log threshold are re-decided by math.log
 
 
-def _kernel_6gp(seed, n, classes, coin_fn=None):
-    removed, dropped = set(), 0
-    for b, c in classes:
-        w2 = b * b * b * c * c
-        w3 = b * b * c * c * c
-        for a in range(1, n // w2 + 1):
-            if coin_fn is None:
-                below = coin_bits(seed, 6, a, b, c) < _HALF
-            else:
-                below = coin_fn(seed, 6, a, b, c) < 0.5
-            u = a * w2 if below else a * w3
-            if u <= n:
-                removed.add(u)
-            else:
-                dropped += 1
-    return removed, dropped
+def _fmix(z: np.ndarray) -> np.ndarray:
+    """_mix64 on a uint64 array, in place."""
+    z ^= z >> _S33
+    z *= _FM1
+    z ^= z >> _S33
+    z *= _FM2
+    z ^= z >> _S33
+    return z
 
 
-def _kernel_5gp(seed, n, classes, coin_fn=None):
-    removed, dropped = set(), 0
-    log = math.log
-    for b, c in classes:
-        w1 = b * b * b * c      # second term weight
-        w2 = b * b * c * c      # middle (third) term weight
-        for a in range(1, n // w1 + 1):
-            if coin_fn is None:
-                u01 = (coin_bits(seed, 5, a, b, c) >> 11) * _INV53
-            else:
-                u01 = coin_fn(seed, 5, a, b, c)
-            mid = a * w2
-            # remove the middle with probability p(mid), else the second term
-            u = mid if u01 < 1.0 - 1.0 / log(mid + 2) else a * w1
-            if u <= n:
-                removed.add(u)
-            else:
-                dropped += 1
-    return removed, dropped
+def _coin_array(seed: int, k: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Vector coin(): (coin_bits(seed, k, a, b, c) >> 11) * 2**-53, elementwise."""
+    h = np.uint64(_mix64((seed & _M64) ^ ((k * _GOLDEN) & _M64)))
+    for v in (a, b, c):
+        h = _fmix(h ^ v.astype(np.uint64) * _G)
+    return (h >> _S11).astype(np.float64) * _INV53
 
 
-def _kernel_3gp_int(seed, n, ratios, coin_fn=None):
-    removed, dropped = set(), 0
-    log = math.log
-    for r in ratios:
-        rr = r * r
-        for a in range(1, n // r + 1):
-            if coin_fn is None:
-                u01 = (coin_bits(seed, 3, a, 1, r) >> 11) * _INV53
-            else:
-                u01 = coin_fn(seed, 3, a, 1, r)
-            third = a * rr
-            u = third if u01 < 1.0 - 1.0 / log(third + 2) else a * r
-            if u <= n:
-                removed.add(u)
-            else:
-                dropped += 1
-    return removed, dropped
-
-
-def _classes_for(kind: ProcessKind, n: int):
-    if kind is ProcessKind.SIX_GP:
-        return _bc_classes(n, 3, 2)      # smaller middle a*b^3*c^2 <= n
-    if kind is ProcessKind.FIVE_GP:
-        return _bc_classes(n, 3, 1)      # second term a*b^3*c <= n
-    return list(range(2, n + 1))         # integer ratios with a*r <= n
-
-_KERNELS = {
-    ProcessKind.SIX_GP: _kernel_6gp,
-    ProcessKind.FIVE_GP: _kernel_5gp,
-    ProcessKind.THREE_GP_INT: _kernel_3gp_int,
+# kind -> (k, ratio mode, exponents (eb, ec) of the smaller removable term
+# a*b^eb*c^ec, exponents of the larger one, biased).  A fair coin (6-GP) removes
+# the smaller middle when below 1/2; a biased coin removes the larger term with
+# probability p(larger) = 1 - 1/log(larger + 2), else the smaller.
+_FAMILY = {
+    ProcessKind.SIX_GP: (6, RATIONAL, (3, 2), (2, 3), False),
+    ProcessKind.FIVE_GP: (5, RATIONAL, (3, 1), (2, 2), True),
+    ProcessKind.THREE_GP_INT: (3, INTEGER, (0, 1), (0, 2), True),
 }
+
+
+def _class_blocks(kind: ProcessKind, n: int):
+    """(b, c) arrays of every class whose smaller term is <= n at a = 1.
+
+    Classes are coprime b < c (b = 1, c = r for the integer-ratio family),
+    yielded in blocks of at most _CHUNK.
+    """
+    sb, sc = _FAMILY[kind][2]
+    b = 1
+    while b**sb * (b + 1) ** sc <= n:
+        top = isqrt(n // b**sb) if sc == 2 else n // b**sb
+        for lo in range(b + 1, top + 1, _CHUNK):
+            c = np.arange(lo, min(lo + _CHUNK, top + 1), dtype=np.int64)
+            c = c[np.gcd(c, b) == 1]
+            if c.size:
+                yield np.full(c.size, b, dtype=np.int64), c
+        if kind is ProcessKind.THREE_GP_INT:
+            break
+        b += 1
+
+
+def _progressions(counts: np.ndarray):
+    """(a, i) arrays of the progressions a = 1 .. counts[i] of every class i,
+    at most _CHUNK at a time."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    for first in range(0, total, _CHUNK):
+        last = min(first + _CHUNK, total)
+        i0 = int(np.searchsorted(ends, first, side="right"))
+        i1 = int(np.searchsorted(ends, last - 1, side="right")) + 1
+        starts = ends[i0:i1] - counts[i0:i1]
+        cls = np.repeat(np.arange(i0, i1),
+                        np.minimum(ends[i0:i1], last) - np.maximum(starts, first))
+        a = np.arange(first, last, dtype=np.int64) - (starts - 1)[cls - i0]
+        yield a, cls
+
+
+def _below_p(u, larger: np.ndarray) -> np.ndarray:
+    """u < 1 - 1/log(larger + 2) elementwise, decided exactly as math.log does."""
+    thr = 1.0 - 1.0 / np.log(larger + 2.0)
+    below = u < thr
+    near = np.flatnonzero(np.abs(u - thr) <= _NEAR)
+    if near.size:
+        u_near = np.broadcast_to(u, larger.shape)[near].tolist()
+        below[near] = [ui < 1.0 - 1.0 / math.log(t + 2)
+                       for ui, t in zip(u_near, larger[near].tolist())]
+    return below
 
 
 def run(
     config: ProcessConfig,
     workers: int = 1,
     limits: Limits = DEFAULT_LIMITS,
-    coin_fn: Optional[CoinFn] = None,
+    coin_fn: Optional[Callable[..., "np.ndarray | float"]] = None,
 ) -> ProcessRun:
-    """Execute one process realization; bit-identical for any worker count."""
-    if config.n > limits.process_max_n:
-        raise ResourceLimit(f"horizon {config.n} exceeds budget {limits.process_max_n}")
-    kernel = _KERNELS[config.kind]
-    classes = _classes_for(config.kind, config.n)
-    if workers <= 1 or len(classes) < 2 * workers:
-        removed, dropped = kernel(config.seed, config.n, classes, coin_fn)
-    else:
-        if coin_fn is not None:
-            raise DomainError("coin_fn overrides are single-worker only")
-        chunks = [classes[i::workers] for i in range(workers)]
-        removed, dropped = set(), 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(kernel, config.seed, config.n, ch) for ch in chunks]
-            for f in futs:
-                part, d = f.result()
-                removed |= part
-                dropped += d
-    return ProcessRun(config, tuple(sorted(removed)), dropped)
+    """Execute one process realization.
 
-
-def run_6gp(config: ProcessConfig, **kw) -> ProcessRun:
-    if config.kind is not ProcessKind.SIX_GP:
-        raise DomainError(f"expected kind 6gp, got {config.kind.value}")
-    return run(config, **kw)
-
-
-def run_5gp(config: ProcessConfig, **kw) -> ProcessRun:
-    if config.kind is not ProcessKind.FIVE_GP:
-        raise DomainError(f"expected kind 5gp, got {config.kind.value}")
-    return run(config, **kw)
-
-
-def run_3gp_int(config: ProcessConfig, **kw) -> ProcessRun:
-    if config.kind is not ProcessKind.THREE_GP_INT:
-        raise DomainError(f"expected kind 3gp-int, got {config.kind.value}")
-    return run(config, **kw)
-
-
-_TARGET_FAMILY = {
-    ProcessKind.SIX_GP: (6, RATIONAL),
-    ProcessKind.FIVE_GP: (5, RATIONAL),
-    ProcessKind.THREE_GP_INT: (3, INTEGER),
-}
+    One vectorized pass over the progressions, at most _CHUNK at a time.
+    `workers` is accepted for compatibility and has no effect.  `coin_fn`
+    replaces the hashed coins: it gets (seed, k, a, b, c) with array a, b, c
+    and returns coins in [0, 1), an array or one scalar for all.
+    """
+    cap = min(limits.process_max_n, 3 * 10**9)  # terms are <= n**2 and must fit int64
+    if config.n > cap:
+        raise ResourceLimit(f"horizon {config.n} exceeds budget {cap}")
+    n, seed = config.n, config.seed
+    coins = _coin_array if coin_fn is None else coin_fn
+    k, _, (sb, sc), (lb, lc), biased = _FAMILY[config.kind]
+    hit = np.zeros(n + 1, dtype=bool)
+    dropped = 0
+    for b, c in _class_blocks(config.kind, n):
+        w_smaller, w_larger = b**sb * c**sc, b**lb * c**lc
+        for a, i in _progressions(n // w_smaller):
+            smaller, larger = a * w_smaller[i], a * w_larger[i]
+            u = coins(seed, k, a, b[i], c[i])
+            if biased:
+                removed = np.where(_below_p(u, larger), larger, smaller)
+            else:
+                removed = np.where(u < 0.5, smaller, larger)
+            inside = removed <= n
+            hit[removed[inside]] = True
+            dropped += removed.size - int(np.count_nonzero(inside))
+    return ProcessRun(config, tuple(np.flatnonzero(hit).tolist()), dropped)
 
 
 def verify_free(run_: ProcessRun) -> Optional[KGeoProgression]:
     """Witness GP of the kind's target family among the survivors, if any."""
-    k, mode = _TARGET_FAMILY[run_.config.kind]
+    k, mode = _FAMILY[run_.config.kind][:2]
     survivors = run_.survivors()
     if len(survivors) < k:
         return None
@@ -269,16 +255,23 @@ def gap_report(run_: ProcessRun, epsilon: float) -> GapReport:
     fitted_c_eps is the smallest C_eps for which every measured gap satisfies
     gap <= gap_envelope(t_i, epsilon, C_eps).
     """
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    survivors = [t for t in run_.survivors() if t >= 16]
-    if len(survivors) < 2:
+    if not 0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
+    alive = _alive(run_)
+    alive[:16] = False
+    t = np.flatnonzero(alive)
+    if t.size < 2:
         raise TooFewSurvivors("need at least two survivors >= 16")
-    gaps = tuple(
-        (t, t_next - t) for t, t_next in zip(survivors, survivors[1:])
-    )
-    fitted = max(g / gap_envelope(t, epsilon, 1.0) for t, g in gaps)
-    return GapReport(epsilon, gaps, max(g for _, g in gaps), fitted)
+    t, g = t[:-1], np.diff(t)
+    lx = np.log(t)
+    ratio = g / np.exp((C_2_3 + epsilon) * lx / np.log(lx))
+    # the array envelope may differ from gap_envelope in the last bits, so
+    # the maximum is taken over scalar values at every near-maximal point
+    near = np.flatnonzero(ratio >= ratio.max() * (1 - _NEAR))
+    fitted = max(gi / gap_envelope(ti, epsilon, 1.0)
+                 for ti, gi in zip(t[near].tolist(), g[near].tolist()))
+    gaps = tuple(zip(t.tolist(), g.tolist()))
+    return GapReport(epsilon, gaps, int(g.max()), fitted)
 
 
 # ---------------------------------------------------------------------------
@@ -413,37 +406,43 @@ def run_to_json(run_: ProcessRun) -> str:
 
 
 def run_from_dict(d: dict) -> ProcessRun:
-    cfg = ProcessConfig(ProcessKind(d["config"]["kind"]), d["config"]["n"], d["config"]["seed"])
-    return ProcessRun(cfg, tuple(d["removed"]), d["counts"]["dropped_outside"])
+    """Inverse of run_to_dict; DomainError unless the document is consistent."""
+    try:
+        cfg = ProcessConfig(ProcessKind(d["config"]["kind"]), d["config"]["n"], d["config"]["seed"])
+        removed, counts = d["removed"], d["counts"]
+        dropped = counts["dropped_outside"]
+        arr = np.array(removed)
+        ok = (
+            type(cfg.n) is int and type(cfg.seed) is int and type(removed) is list
+            and arr.ndim == 1 and (arr.size == 0 or arr.dtype.kind == "i")
+            and type(dropped) is int and dropped >= 0
+            and counts["removed"] == arr.size and counts["survivors"] == cfg.n - arr.size
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed run file: {exc!r}") from None
+    if not ok:
+        raise DomainError("malformed run file: bad removed list or counts")
+    if arr.size and (arr[0] < 1 or arr[-1] > cfg.n or np.any(arr[1:] <= arr[:-1])):
+        raise DomainError(f"run file removals must increase strictly within [1, {cfg.n}]")
+    return ProcessRun(cfg, tuple(removed), dropped)
 
 
 def run_from_json(s: str) -> ProcessRun:
-    return run_from_dict(json.loads(s))
+    try:
+        return run_from_dict(json.loads(s))
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"malformed run file: {exc}") from None
 
 
 def run_to_bitmap(run_: ProcessRun) -> bytes:
     """Little-endian 64-bit words; bit t set means integer t+1 was removed."""
-    n = run_.config.n
-    nwords = (n + 63) // 64
-    words = [0] * nwords
-    for u in run_.removed:
-        t = u - 1
-        words[t >> 6] |= 1 << (t & 63)
-    out = bytearray()
-    for w in words:
-        out += w.to_bytes(8, "little")
-    return bytes(out)
+    bits = np.zeros(64 * ((run_.config.n + 63) // 64), dtype=bool)
+    bits[np.array(run_.removed, dtype=np.int64) - 1] = True
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def bitmap_to_removed(blob: bytes, n: int) -> tuple[int, ...]:
     """Inverse of run_to_bitmap (for a known horizon n)."""
-    removed = []
-    for wi in range(len(blob) // 8):
-        w = int.from_bytes(blob[8 * wi : 8 * wi + 8], "little")
-        while w:
-            low = w & -w
-            t = 64 * wi + low.bit_length() - 1
-            if t < n:
-                removed.append(t + 1)
-            w ^= low
-    return tuple(removed)
+    words = np.frombuffer(blob[: len(blob) // 8 * 8], dtype=np.uint8)
+    bits = np.unpackbits(words, bitorder="little")[:n]
+    return tuple((np.flatnonzero(bits) + 1).tolist())

@@ -93,6 +93,70 @@ def brute_selection_violation(n: int, pairing: str, selection) -> tuple | None:
     return None
 
 
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _fmix64(z: int) -> int:
+    """The murmur3 64-bit finalizer."""
+    z ^= z >> 33
+    z = z * 0xFF51AFD7ED558CCD & _M64
+    z ^= z >> 33
+    z = z * 0xC4CEB9FE1A85EC53 & _M64
+    return z ^ (z >> 33)
+
+
+def brute_coin(seed: int, k: int, a: int, b: int, c: int) -> float:
+    """The coin of progression (k, a, b, c): top 53 bits of a chained fmix."""
+    h = seed
+    for v in (k, a, b, c):
+        h = _fmix64(h ^ (v * _GOLDEN & _M64))
+    return (h >> 11) / 2**53
+
+
+def brute_removal(kind: str, n: int, seed: int, coin=None) -> tuple[tuple[int, ...], int]:
+    """(sorted removals in [1, n], removals above n) of one removal process.
+
+    Straight from the definitions, one progression at a time.  Every
+    progression a*b^(k-1-i)*c^i (b < c coprime, b = 1 for "3gp-int") whose
+    smaller removable term is <= n flips `coin(k, a, b, c)` (default: the
+    hashed coin).  "6gp" removes the middle i=2 when the coin is below 1/2,
+    else i=3; "5gp" and "3gp-int" remove the term i=2 when the coin is below
+    1 - 1/log(term + 2), else the term i=1.
+    """
+    if coin is None:
+        def coin(k, a, b, c):
+            return brute_coin(seed, k, a, b, c)
+    k, lo_i, hi_i = {"6gp": (6, 2, 3), "5gp": (5, 1, 2), "3gp-int": (3, 1, 2)}[kind]
+
+    def term(a, b, c, i):
+        return a * b ** (k - 1 - i) * c**i
+
+    removed, dropped = set(), 0
+    c = 2
+    while term(1, 1, c, lo_i) <= n:
+        for b in range(1, 2 if kind == "3gp-int" else c):
+            if term(1, b, c, lo_i) > n:
+                break
+            if math.gcd(b, c) != 1:
+                continue
+            a = 1
+            while term(a, b, c, lo_i) <= n:
+                u = coin(k, a, b, c)
+                lo, hi = term(a, b, c, lo_i), term(a, b, c, hi_i)
+                if kind == "6gp":
+                    t = lo if u < 0.5 else hi
+                else:
+                    t = hi if u < 1.0 - 1.0 / math.log(hi + 2) else lo
+                if t <= n:
+                    removed.add(t)
+                else:
+                    dropped += 1
+                a += 1
+        c += 1
+    return tuple(sorted(removed)), dropped
+
+
 def brute_disjoint_free_selection(n: int) -> list[int] | None:
     """Literal enumeration of all 2^(n/2) disjoint-pair selections.
 

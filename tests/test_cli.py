@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -164,3 +167,59 @@ class TestConfigFile:
         code, _ = run_cli(capsys, "divisor", "mertens", "--x", "10",
                           "--config", str(f))
         assert code == 1
+
+
+class TestCleanExits:
+    """Bad input ends in one stderr line and an exit code, never a traceback."""
+
+    def _err_line(self, capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+        return err
+
+    def test_bad_workers_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.WORKERS_ENV, "abc")
+        code = cli.main(["process", "run", "--kind", "6gp", "--n", "100", "--seed", "1"])
+        assert code == 2
+        assert cli.WORKERS_ENV in self._err_line(capsys)
+        # subcommands without --workers never read it
+        assert run_json(capsys, "divisor", "mertens", "--x", "10")["payload"]["x"] == 10
+
+    def test_non_integer_config_value_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "limits.conf"
+        f.write_text("process_max_n = lots\n")
+        code = cli.main(["process", "run", "--kind", "6gp", "--n", "100", "--seed", "1",
+                         "--config", str(f)])
+        assert code == 2
+        assert "process_max_n" in self._err_line(capsys)
+
+    @pytest.mark.parametrize("sub", ["verify", "gaps"])
+    def test_tampered_run_file_exit_1(self, capsys, tmp_path, sub):
+        f = tmp_path / "run.json"
+        code = cli.main(["process", "run", "--kind", "6gp", "--n", "10000", "--seed", "1",
+                         "--out", str(f)])
+        assert code == 0
+        doc = json.loads(f.read_text())
+        doc["removed"] = [5000, -3, 7, 7]
+        doc["counts"].update(removed=4, survivors=10000 - 4, dropped_outside=-1)
+        f.write_text(json.dumps(doc))
+        capsys.readouterr()
+        extra = ["--epsilon", "0.5"] if sub == "gaps" else []
+        assert cli.main(["process", sub, "--in", str(f)] + extra) == 1
+        self._err_line(capsys)
+
+    def test_broken_pipe_exit_1(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        # several MB of output: the writer blocks on the full pipe until the
+        # reader closes it after 10 bytes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gpfree.cli", "divisor", "table", "--k", "2",
+             "--start", "0", "--len", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from gpfree import bounds, gpcore, process
 from gpfree.errors import DomainError, ResourceLimit, TooFewSurvivors
 from gpfree.limits import DEFAULT_LIMITS
+from oracles import brute_removal
 
 K6 = process.ProcessKind.SIX_GP
 K5 = process.ProcessKind.FIVE_GP
@@ -81,11 +83,6 @@ class TestRuns:
         large = process.run(cfg(K6, 4000, 5))
         assert set(small.removed) <= set(large.removed)
 
-    def test_kind_specific_wrappers_check_kind(self):
-        with pytest.raises(DomainError):
-            process.run_6gp(cfg(K5, 100, 1))
-        assert process.run_5gp(cfg(K5, 100, 1)) == process.run(cfg(K5, 100, 1))
-
     def test_horizon_budget(self):
         with pytest.raises(ResourceLimit):
             process.run(cfg(K6, DEFAULT_LIMITS.process_max_n + 1, 1))
@@ -119,6 +116,58 @@ class TestRuns:
                 break
         else:
             pytest.fail("no seed kept the rational-ratio triple (4,6,9)")
+
+
+def _larger_term(k, a, b, c):
+    """The term a biased coin removes when below its threshold."""
+    return a * b * b * c * c if k == 5 else a * c * c
+
+
+class TestScalarReference:
+    """The vector kernel against brute_removal, which shares no code with it."""
+
+    @given(kind=st.sampled_from([K6, K5, K3]), seed=st.integers(0, 2**64 - 1),
+           n=st.integers(16, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_run_matches_scalar_reference(self, kind, seed, n):
+        run = process.run(cfg(kind, n, seed))
+        assert (run.removed, run.dropped_outside) == brute_removal(kind.value, n, seed)
+
+    @pytest.mark.parametrize("kind", [K5, K3])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_coin_on_the_threshold(self, kind, below):
+        # every coin sits exactly on its math.log threshold (not below it, so
+        # the smaller term goes) or one ulp under it (the larger term goes);
+        # np.log and math.log disagree in the last bit for some terms here
+        def thr(k, a, b, c):
+            t = 1.0 - 1.0 / math.log(_larger_term(k, a, b, c) + 2)
+            return math.nextafter(t, 0.0) if below else t
+
+        def coin_fn(seed, k, a, b, c):
+            return np.array([thr(k, *v) for v in zip(a.tolist(), b.tolist(), c.tolist())])
+
+        n = 3000
+        run = process.run(cfg(kind, n, 1), coin_fn=coin_fn)
+        assert (run.removed, run.dropped_outside) == brute_removal(kind.value, n, 1, coin=thr)
+        want = brute_removal(kind.value, n, 1, coin=lambda *_: 0.0 if below else 1.0)
+        assert (run.removed, run.dropped_outside) == want
+
+    def test_threshold_where_numpy_log_differs(self):
+        # larger terms at which np.log(x + 2) and math.log(x + 2) round
+        # differently on x86-64 builds; the decision must follow math.log
+        larger = np.array([19141, 819857, 833747, 1106344, 1820954, 2019046, 2441054])
+        thr = np.array([1.0 - 1.0 / math.log(t + 2) for t in larger.tolist()])
+        assert not process._below_p(thr, larger).any()
+        assert process._below_p(np.nextafter(thr, 0.0), larger).all()
+
+    def test_chunk_size_does_not_matter(self, monkeypatch):
+        configs = [cfg(kind, 2000, 5) for kind in (K6, K5, K3)]
+        before = [(process.run_to_json(r), process.run_to_bitmap(r))
+                  for r in map(process.run, configs)]
+        monkeypatch.setattr(process, "_CHUNK", 7)
+        after = [(process.run_to_json(r), process.run_to_bitmap(r))
+                 for r in map(process.run, configs)]
+        assert after == before
 
 
 class TestVerifyFree:
@@ -177,10 +226,32 @@ class TestGapReport:
         want = max(g / bounds.gap_envelope(t, 0.5, 1.0) for t, g in rep.gaps)
         assert rep.fitted_c_eps == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize("t", [42, 44, 60, 68, 76, 143])
+    def test_fitted_value_uses_the_scalar_envelope(self, t):
+        # at these t the numpy envelope differs from gap_envelope in the last bit
+        for eps in (0.1, 0.5):
+            rep = process.gap_report(self._fake_run(t + 1, {t, t + 1}), eps)
+            assert rep.fitted_c_eps == 1 / bounds.gap_envelope(t, eps, 1.0)
+
+    @pytest.mark.parametrize("kind", [K6, K5, K3])
+    def test_fitted_value_is_the_scalar_maximum(self, kind):
+        # bit for bit: the printed fitted_c_eps must not depend on how the
+        # envelope was evaluated
+        run = process.run(cfg(kind, 30000, 2))
+        for eps in (0.05, 0.1, 0.5, 1.0, 3.0):
+            rep = process.gap_report(run, eps)
+            assert rep.fitted_c_eps == max(
+                g / bounds.gap_envelope(t, eps, 1.0) for t, g in rep.gaps)
+
     def test_monotone_in_epsilon(self):
         run = process.run(cfg(K6, 5000, 1))
         vals = [process.gap_report(run, e / 10).fitted_c_eps for e in range(1, 11)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_epsilon(self, eps):
+        with pytest.raises(DomainError):
+            process.gap_report(self._fake_run(20, {16, 17, 20}), eps)
 
     def test_too_few_survivors(self):
         with pytest.raises(TooFewSurvivors):
@@ -245,6 +316,46 @@ class TestSerialization:
         blob = process.run_to_bitmap(run)
         assert len(blob) == 8 * ((777 + 63) // 64)
         assert process.bitmap_to_removed(blob, 777) == run.removed
+
+    @pytest.mark.parametrize("edit", [
+        {"removed": [7, 7]},                 # duplicate
+        {"removed": [9, 8]},                 # not increasing
+        {"removed": [-3, 7]},                # below 1
+        {"removed": [0, 7]},
+        {"removed": [7, 101]},               # above n
+        {"removed": [7, 8.0]},               # not integers
+        {"removed": [7, True]},
+        {"removed": [7, 2**70]},
+        {"removed": "7"},
+        {"dropped_outside": -1},
+        {"dropped_outside": 1.5},
+        {"counts_removed": 3},               # counts disagree with the list
+        {"counts_survivors": 100},
+        {"n": 100.0},
+        {"no_counts": True},
+    ])
+    def test_malformed_run_rejected(self, edit):
+        d = process.run_to_dict(process.ProcessRun(cfg(K6, 100, 1), (7, 8), 0))
+        if "removed" in edit:
+            d["removed"] = edit["removed"]
+            if isinstance(edit["removed"], list):
+                d["counts"].update(removed=2, survivors=98)
+        d["counts"]["dropped_outside"] = edit.get("dropped_outside", 0)
+        d["counts"]["removed"] = edit.get("counts_removed", d["counts"]["removed"])
+        d["counts"]["survivors"] = edit.get("counts_survivors", d["counts"]["survivors"])
+        d["config"]["n"] = edit.get("n", 100)
+        if "no_counts" in edit:
+            del d["counts"]
+        with pytest.raises(DomainError):
+            process.run_from_dict(d)
+
+    def test_truncated_json_rejected(self):
+        with pytest.raises(DomainError):
+            process.run_from_json(process.run_to_json(process.run(cfg(K6, 100, 1)))[:-1])
+
+    def test_empty_removal_list_loads(self):
+        run = process.ProcessRun(cfg(K6, 16, 1), (), 0)
+        assert process.run_from_json(process.run_to_json(run)) == run
 
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(16, 400))
     @settings(max_examples=30, deadline=None)
