@@ -15,8 +15,14 @@ MIN_X = 16.0
 
 
 def _check_x(x: float) -> None:
-    if x < MIN_X:
-        raise DomainError(f"x must be >= {MIN_X:g}, got {x}")
+    if not MIN_X <= x < math.inf:
+        raise DomainError(f"x must be finite and >= {MIN_X:g}, got {x}")
+
+
+def _check_positive(name: str, v: float) -> None:
+    # written so that NaN fails too
+    if not 0 < v < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
 def C_ij_scale(i: int, j: int) -> Fraction:
@@ -37,8 +43,7 @@ C_2_3 = C_ij(2, 3)  # the paper's C = (5/6) log 2, computed once
 def h_short(x: float, i: int, j: int, epsilon: float) -> float:
     """Short-interval length exp((C_{i,j} + 2*eps) * log x / log log x)."""
     _check_x(x)
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    _check_positive("epsilon", epsilon)
     lx = math.log(x)
     return math.exp((C_ij(i, j) + 2 * epsilon) * lx / math.log(lx))
 
@@ -46,10 +51,8 @@ def h_short(x: float, i: int, j: int, epsilon: float) -> float:
 def gap_envelope(x: float, epsilon: float, c_eps: float) -> float:
     """C_eps * exp((C_{2,3} + eps) * log x / log log x), the headline gap bound."""
     _check_x(x)
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if c_eps <= 0:
-        raise DomainError(f"C_eps must be positive, got {c_eps}")
+    _check_positive("epsilon", epsilon)
+    _check_positive("C_eps", c_eps)
     lx = math.log(x)
     return c_eps * math.exp((C_2_3 + epsilon) * lx / math.log(lx))
 
@@ -57,10 +60,9 @@ def gap_envelope(x: float, epsilon: float, c_eps: float) -> float:
 def survival_bound(x: float, C: float, E: float, epsilon: float) -> float:
     """exp(-C*E*exp((C_{2,3}+eps) log x / log log x)); C and E are fit parameters."""
     _check_x(x)
-    if C < 0 or E < 0:
+    if not (C >= 0 and E >= 0):
         raise DomainError("C and E must be nonnegative")
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    _check_positive("epsilon", epsilon)
     lx = math.log(x)
     return math.exp(-C * E * math.exp((C_2_3 + epsilon) * lx / math.log(lx)))
 

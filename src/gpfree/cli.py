@@ -9,10 +9,11 @@ Identical command + seed + config produce a byte-identical payload
 (elapsed_ms excluded).  Exit codes: 0 success, 1 domain error or closed
 output pipe, 2 usage error, 3 resource limit.
 
-Worker counts come from --workers, falling back to the GPFREE_WORKERS
-environment variable, then to the available parallelism; `process run`
-accepts --workers and ignores it.  A --config FILE of
-key=value lines may preset the resource budgets of gpfree.limits.Limits.
+`process run` and `syndetic search` accept --workers (default: the
+GPFREE_WORKERS environment variable, then the CPU count); it has no effect on
+either command, which both run serially.  A --config FILE of key=value lines
+may preset the resource budgets of gpfree.limits.Limits.  A file that cannot
+be read exits 1.
 """
 
 from __future__ import annotations
@@ -52,25 +53,32 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise GPFreeError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _load_limits(path: str | None) -> Limits:
     if not path:
         return DEFAULT_LIMITS
     overrides = {}
     int_keys = {"sieve_max_len", "mertens_max_x", "process_max_n", "search_node_budget"}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in int_keys and key != "search_time_budget_s":
-                raise GPFreeError(f"unknown config key {key!r}")
-            try:
-                overrides[key] = int(value) if key in int_keys else float(value)
-            except ValueError:
-                raise UsageError(f"config key {key!r} has bad value {value!r}") from None
+    for line in _read_text(path).splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in int_keys and key != "search_time_budget_s":
+            raise GPFreeError(f"unknown config key {key!r}")
+        try:
+            overrides[key] = int(value) if key in int_keys else float(value)
+        except ValueError:
+            raise UsageError(f"config key {key!r} has bad value {value!r}") from None
     return DEFAULT_LIMITS.with_overrides(**overrides)
 
 
@@ -118,8 +126,7 @@ def cmd_gp_decompose(args):
 
 
 def cmd_gp_contains(args):
-    with open(args.input) as fh:
-        members = sorted({int(tok) for tok in fh.read().split()})
+    members = sorted({int(tok) for tok in _read_text(args.input).split()})
     mode = gpcore.INTEGER if args.mode == "int" else gpcore.RATIONAL
     witness = gpcore.contains_gp(members, args.k, mode)
     return {"witness": _gp_payload(witness) if witness else None}
@@ -178,8 +185,7 @@ def cmd_process_run(args):
 
 
 def _load_run(path: str) -> process.ProcessRun:
-    with open(path) as fh:
-        return process.run_from_json(fh.read())
+    return process.run_from_json(_read_text(path))
 
 
 def cmd_process_gaps(args):
@@ -219,15 +225,13 @@ def cmd_syndetic_search(args):
     if args.budget is not None:
         limits = limits.with_overrides(search_node_budget=args.budget)
     inst = syndetic.build_instance(args.n, args.pairing)
-    out = syndetic.search(inst, order=args.order, propagation=not args.no_propagation,
-                          workers=args.workers, limits=limits)
+    out = syndetic.search(inst, workers=args.workers, limits=limits)
     payload = {
         "N": args.n,
         "pairing": args.pairing,
         "verdict": out.verdict,
         "nodes": out.stats.nodes,
         "prunings": out.stats.prunings,
-        "elapsed_ms": round(out.stats.elapsed_ms, 3),
     }
     if out.selection is not None:
         payload["counterexample"] = list(out.selection)
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", default=None, help="key=value budget file")
         if workers:
             sp.add_argument("--workers", type=int, default=None,
-                            help=f"default: ${WORKERS_ENV} or the CPU count")
+                            help=f"no effect; default: ${WORKERS_ENV} or the CPU count")
 
     gp = sub.add_parser("gp", help="geometric-progression core").add_subparsers(
         dest="sub", required=True)
@@ -356,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sy.add_parser("search")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pairing", choices=["disjoint", "overlapping"], default="disjoint")
-    sp.add_argument("--order", choices=[syndetic.ASCENDING, syndetic.MOST_CONSTRAINED],
-                    default=syndetic.ASCENDING)
-    sp.add_argument("--no-propagation", action="store_true")
     sp.add_argument("--budget", type=int, default=None, help="node budget")
     common(sp, workers=True)
     sp.set_defaults(func=cmd_syndetic_search)

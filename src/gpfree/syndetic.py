@@ -8,7 +8,9 @@ exceed one skipped integer.  The search decides whether some selection avoids
 every triple x < y < z <= N with y**2 == x*z, returning an explicit
 counterexample selection or an exhaustion certificate with statistics.
 
-The engine is a DPLL-style backtracker.  Propagation rules:
+The engine is a DPLL-style backtracker over the pairs in ascending order,
+iterative so that its depth is not bounded by Python's recursion limit.
+Propagation rules:
   * a triple with two chosen members forbids its third member;
   * a forbidden element forces its pair neighbors (partner in disjoint mode,
     both adjacent integers in overlapping mode) to be chosen;
@@ -21,7 +23,6 @@ for both verdicts.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -35,9 +36,6 @@ OVERLAPPING = "overlapping"
 EXHAUSTED = "exhausted"
 COUNTEREXAMPLE = "counterexample"
 BUDGET_EXHAUSTED = "budget-exhausted"
-
-ASCENDING = "ascending-pairs"
-MOST_CONSTRAINED = "most-constrained-first"
 
 _UNDEC, _IN, _OUT = 0, 1, 2
 
@@ -59,11 +57,6 @@ class SearchStats:
 
     def bump(self, cause: str) -> None:
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
-
-    def merge(self, other: "SearchStats") -> None:
-        self.nodes += other.nodes
-        for k, v in other.prunings.items():
-            self.prunings[k] = self.prunings.get(k, 0) + v
 
 
 @dataclass(frozen=True)
@@ -150,11 +143,8 @@ class _Budget:
 class _Engine:
     """Backtracking core shared by both pairings."""
 
-    def __init__(self, instance: SearchInstance, order: str, propagation: bool,
-                 limits: Limits):
+    def __init__(self, instance: SearchInstance, limits: Limits):
         self.inst = instance
-        self.order = order
-        self.propagation = propagation
         self.budget = _Budget(limits)
         self.disjoint = instance.pairing == DISJOINT
         n = instance.n
@@ -195,13 +185,12 @@ class _Engine:
         if complete:
             self.stats.bump("triple-complete")
             return False
-        if self.propagation:
-            for t in member:
-                if tcount[t] == 2:
-                    x, y, z = self.telems[t]
-                    third = x if state[x] != _IN else (y if state[y] != _IN else z)
-                    if state[third] == _UNDEC:
-                        queue.append(-third)
+        for t in member:
+            if tcount[t] == 2:
+                x, y, z = self.telems[t]
+                third = x if state[x] != _IN else (y if state[y] != _IN else z)
+                if state[third] == _UNDEC:
+                    queue.append(-third)
         return True
 
     def _set_out(self, e: int, queue: list) -> bool:
@@ -215,17 +204,12 @@ class _Engine:
         self.trail.append(-e)
         if self.disjoint:
             queue.append(self.partner[e])
-        elif self.propagation:
+        else:
             # both overlapping pairs through e now need their other element
             if e > 1:
                 queue.append(e - 1)
             if e < self.n:
                 queue.append(e + 1)
-        else:
-            # propagation off: still reject a violated pair immediately
-            if (e > 1 and state[e - 1] == _OUT) or (e < self.n and state[e + 1] == _OUT):
-                self.stats.bump("pair-unselected")
-                return False
         return True
 
     def assign(self, lit: int) -> bool:
@@ -263,27 +247,13 @@ class _Engine:
     # -- branching -----------------------------------------------------------
 
     def next_pair(self, start: int) -> int:
+        """Index of the first pair from `start` on with an undecided element."""
         pairs, state = self.inst.pairs, self.state
-        if self.order == ASCENDING:
-            for i in range(start, len(pairs)):
-                e1, e2 = pairs[i]
-                if state[e1] == _UNDEC or state[e2] == _UNDEC:
-                    return i
-            return -1
-        best, best_score = -1, -1
-        tcount, member = self.tcount, self.inst.member
         for i in range(start, len(pairs)):
             e1, e2 = pairs[i]
-            if state[e1] != _UNDEC and state[e2] != _UNDEC:
-                continue
-            score = 0
-            for e in (e1, e2):
-                if state[e] == _UNDEC:
-                    for t in member[e]:
-                        score += tcount[t] * tcount[t]
-            if score > best_score:
-                best, best_score = i, score
-        return best
+            if state[e1] == _UNDEC or state[e2] == _UNDEC:
+                return i
+        return -1
 
     def branch_literals(self, i: int) -> list[int]:
         """Decision literals for pair i; each branch decides >= 1 element."""
@@ -296,118 +266,56 @@ class _Engine:
         e = e1 if s1 == _UNDEC else e2
         return [-e, e]  # try OUT first: it forces both neighbors IN
 
-    def dfs(self, start: int) -> str:
-        i = self.next_pair(start)
-        if i < 0:
-            return COUNTEREXAMPLE
-        self.stats.nodes += 1
-        if self.budget.exceeded(self.stats.nodes):
-            return BUDGET_EXHAUSTED
-        nxt = i if self.order == ASCENDING else start
-        for lit in self.branch_literals(i):
-            mark = len(self.trail)
-            if self.assign(lit):
-                r = self.dfs(nxt)
-                if r != EXHAUSTED:
-                    return r
-            self.undo(mark)
-        return EXHAUSTED
+    def dfs(self) -> str:
+        """Depth-first search over an explicit stack of node frames.
+
+        A frame is (pair index, untried branch literals, trail mark).  Each
+        time a frame is resumed it undoes to its mark, then tries its next
+        literal: the undo order of the plain recursive backtracker.
+        """
+        stack = []
+        i = 0
+        while True:
+            i = self.next_pair(i)
+            if i < 0:
+                return COUNTEREXAMPLE
+            self.stats.nodes += 1
+            if self.budget.exceeded(self.stats.nodes):
+                return BUDGET_EXHAUSTED
+            stack.append((i, iter(self.branch_literals(i)), len(self.trail)))
+            while stack:
+                i, lits, mark = stack[-1]
+                self.undo(mark)
+                lit = next(lits, 0)
+                if not lit:
+                    stack.pop()
+                elif self.assign(lit):
+                    break
+            else:
+                return EXHAUSTED
 
     def selection(self) -> tuple[int, ...]:
         return tuple(e for e in range(1, self.n + 1) if self.state[e] == _IN)
 
 
-def _search_task(instance, order, propagation, limits, prefix):
-    """One subtree: apply forced prefix literals, then exhaust it."""
-    eng = _Engine(instance, order, propagation, limits)
-    if not eng.preassign_unconstrained():
-        return EXHAUSTED, eng.stats, None
-    for lit in prefix:
-        e = abs(lit)
-        want = _IN if lit > 0 else _OUT
-        if eng.state[e] == want:
-            continue
-        if eng.state[e] != _UNDEC or not eng.assign(lit):
-            return EXHAUSTED, eng.stats, None
-    verdict = eng.dfs(0)
-    sel = eng.selection() if verdict == COUNTEREXAMPLE else None
-    return verdict, eng.stats, sel
-
-
-def _prefix_literals(eng: _Engine, depth: int) -> list[list[int]]:
-    """Branch literals of the first `depth` undecided pairs."""
-    out = []
-    for i in range(len(eng.inst.pairs)):
-        e1, e2 = eng.inst.pairs[i]
-        if eng.state[e1] == _UNDEC or eng.state[e2] == _UNDEC:
-            out.append(eng.branch_literals(i))
-            if len(out) == depth:
-                break
-    return out
-
-
 def search(
     instance: SearchInstance,
-    order: str = ASCENDING,
-    propagation: bool = True,
     workers: int = 1,
     limits: Limits = DEFAULT_LIMITS,
 ) -> SearchOutcome:
     """Decide the instance.
 
-    The verdict is deterministic regardless of worker count, and under the
-    default ascending pair order so is the counterexample witness; node
-    statistics are not.  Counterexamples are re-checked through
-    verify_selection before being returned.
+    The search is serial; `workers` is accepted and has no effect.  Verdict,
+    counterexample witness and statistics are deterministic, apart from
+    elapsed_ms.  Counterexamples are re-checked through verify_selection
+    before being returned.
     """
-    if order not in (ASCENDING, MOST_CONSTRAINED):
-        raise DomainError(f"unknown order {order!r}")
     t0 = time.perf_counter()
-    if workers <= 1:
-        verdict, stats, sel = _search_task(instance, order, propagation, limits, ())
-        outcome = SearchOutcome(verdict, stats, sel)
-    else:
-        outcome = _search_parallel(instance, order, propagation, workers, limits)
-    outcome.stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    if outcome.verdict == COUNTEREXAMPLE:
-        witness = verify_selection(instance, outcome.selection)
+    eng = _Engine(instance, limits)
+    verdict = eng.dfs() if eng.preassign_unconstrained() else EXHAUSTED
+    sel = eng.selection() if verdict == COUNTEREXAMPLE else None
+    eng.stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    if sel is not None:
+        witness = verify_selection(instance, sel)
         assert witness is None, "engine produced an invalid counterexample"
-    return outcome
-
-
-def _search_parallel(instance, order, propagation, workers, limits):
-    probe = _Engine(instance, order, propagation, limits)
-    probe.preassign_unconstrained()
-    depth = max(1, (workers - 1).bit_length()) + 3
-    branch_lits = _prefix_literals(probe, depth)
-    depth = len(branch_lits)
-    if depth == 0:
-        verdict, stats, sel = _search_task(instance, order, propagation, limits, ())
-        return SearchOutcome(verdict, stats, sel)
-    # enumerate prefixes in DFS visitation order (first pair most
-    # significant) so the first counterexample matches the serial search
-    prefixes = []
-    for bits in range(1 << depth):
-        prefixes.append(
-            tuple(branch_lits[d][(bits >> (depth - 1 - d)) & 1] for d in range(depth))
-        )
-    total = SearchStats()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(
-            _search_task,
-            [instance] * len(prefixes),
-            [order] * len(prefixes),
-            [propagation] * len(prefixes),
-            [limits] * len(prefixes),
-            prefixes,
-        )
-        # consume in prefix order so any counterexample is deterministic
-        for verdict, stats, sel in results:
-            total.merge(stats)
-            if verdict == COUNTEREXAMPLE:
-                pool.shutdown(wait=False, cancel_futures=True)
-                return SearchOutcome(COUNTEREXAMPLE, total, sel)
-            if verdict == BUDGET_EXHAUSTED:
-                pool.shutdown(wait=False, cancel_futures=True)
-                return SearchOutcome(BUDGET_EXHAUSTED, total)
-    return SearchOutcome(EXHAUSTED, total)
+    return SearchOutcome(verdict, eng.stats, sel)

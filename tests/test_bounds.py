@@ -62,6 +62,11 @@ class TestHShort:
             assert bounds.h_short(x, 2, 3, 1.0) < math.sqrt(x)
             x *= 1e10
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, bad):
+        with pytest.raises(DomainError):
+            bounds.h_short(1e4, 2, 3, bad)
+
     def test_monotone_in_epsilon(self):
         vals = [bounds.h_short(1e4, 2, 3, e / 10) for e in range(1, 11)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -92,6 +97,11 @@ class TestGapEnvelope:
         with pytest.raises(DomainError):
             bounds.gap_envelope(100, 0.1, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_arguments(self, bad):
+        for args in ((bad, 0.1, 1.0), (100, bad, 1.0), (100, 0.1, bad)):
+            with pytest.raises(DomainError):
+                bounds.gap_envelope(*args)
 
 class TestSurvivalBound:
     def test_value_at_1e4(self):
@@ -113,6 +123,17 @@ class TestSurvivalBound:
         assert bounds.survival_bound(x * 1.5, C, E, eps) <= v
         assert bounds.survival_bound(x, C * 1.5, E, eps) <= v
         assert bounds.survival_bound(x, C, E * 1.5, eps) <= v
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, bad):
+        with pytest.raises(DomainError):
+            bounds.survival_bound(1e4, 1.0, 1.0, bad)
+
+    def test_rejects_nan_fit_parameters(self):
+        with pytest.raises(DomainError):
+            bounds.survival_bound(1e4, math.nan, 1.0, 0.1)
+        with pytest.raises(DomainError):
+            bounds.survival_bound(1e4, 1.0, math.nan, 0.1)
 
 
 class TestPDefault:

@@ -8,6 +8,13 @@ import pytest
 from gpfree import cli
 
 
+def _env_with_src():
+    """Environment for a child interpreter that imports this checkout's gpfree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
@@ -129,8 +136,15 @@ class TestSyndetic:
 
     def test_budget_exit_3(self, capsys):
         code, _ = run_cli(capsys, "syndetic", "search", "--n", "640",
-                          "--no-propagation", "--budget", "100", "--workers", "1")
+                          "--budget", "5", "--workers", "1")
         assert code == 3
+
+    def test_payload_byte_identical_across_workers(self, capsys):
+        a, b = (run_json(capsys, "syndetic", "search", "--n", "640",
+                         "--pairing", "overlapping", "--workers", w)
+                for w in ("1", "2"))
+        assert json.dumps(a["payload"], sort_keys=True) == json.dumps(
+            b["payload"], sort_keys=True)
 
 
 class TestBounds:
@@ -140,6 +154,13 @@ class TestBounds:
                        "--points", "1")
         assert doc["payload"]["rows"][0][1] == pytest.approx(35.3, abs=0.2)
         assert doc["payload"]["C_2_3"] == pytest.approx(0.5776226, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [["--epsilon", "nan", "--c-eps", "1"],
+                                     ["--epsilon", "0.1", "--c-eps", "nan"]])
+    def test_nan_parameter_exit_1(self, capsys, bad):
+        code, out = run_cli(capsys, "bounds", "envelope", *bad, "--from", "16",
+                            "--to", "1e6", "--points", "3")
+        assert code == 1 and out == ""
 
     def test_zero_points_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -208,10 +229,27 @@ class TestCleanExits:
         assert cli.main(["process", sub, "--in", str(f)] + extra) == 1
         self._err_line(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["process", "verify", "--in", "{missing}"],
+        ["process", "gaps", "--in", "{missing}", "--epsilon", "0.5"],
+        ["divisor", "mertens", "--x", "10", "--config", "{missing}"],
+        ["gp", "contains", "--k", "3", "--input", "{missing}"],
+    ], ids=["verify", "gaps", "config", "contains"])
+    def test_missing_file_exit_1(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "absent")
+        assert cli.main([a.format(missing=missing) for a in argv]) == 1
+        assert missing in self._err_line(capsys)
+
+    def test_import_loads_no_pool_machinery(self):
+        probe = ("import sys, gpfree.cli; "
+                 "print([m for m in ('concurrent.futures', 'multiprocessing') "
+                 "if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
+
     def test_broken_pipe_exit_1(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env = _env_with_src()
         # several MB of output: the writer blocks on the full pipe until the
         # reader closes it after 10 bytes
         proc = subprocess.Popen(
