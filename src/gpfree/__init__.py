@@ -7,11 +7,13 @@ Subpackages:
   process   the three randomized GP-removal processes
   syndetic  exhaustive pair-selection search on [1, N]
   cli       command-line front end
+
+Import a module to use it (`from gpfree import process`); only divisor and
+process load numpy.
 """
 
 __version__ = "0.1.0"
 
-from . import bounds, divisor, gpcore, process, syndetic  # noqa: F401
 from .errors import (  # noqa: F401
     DomainError,
     GPFreeError,

@@ -13,7 +13,10 @@ output pipe, 2 usage error, 3 resource limit.
 GPFREE_WORKERS environment variable, then the CPU count); it has no effect on
 either command, which both run serially.  A --config FILE of key=value lines
 may preset the resource budgets of gpfree.limits.Limits.  A file that cannot
-be read exits 1.
+be read or written exits 1.
+
+Only the `divisor` and `process` commands import numpy, inside the command, so
+their `elapsed_ms` includes that import; the payload is unchanged.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
 
-from . import __version__, bounds, divisor, gpcore, process, syndetic
+from . import __version__, bounds, gpcore, syndetic
 from .errors import GPFreeError, ResourceLimit
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -59,6 +61,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise GPFreeError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise GPFreeError(f"cannot read {path}: {exc}") from None
 
 
 def _load_limits(path: str | None) -> Limits:
@@ -111,6 +115,8 @@ def _gp_payload(gp: gpcore.KGeoProgression) -> dict:
 # gp subcommands
 
 def cmd_gp_enumerate(args):
+    if args.max_items < 1:
+        raise UsageError(f"--max-items must be at least 1, got {args.max_items}")
     stream = gpcore.enumerate_gps(args.k, args.position, args.bound)
     out = []
     for gp in stream:
@@ -121,12 +127,19 @@ def cmd_gp_enumerate(args):
 
 
 def cmd_gp_decompose(args):
-    terms = [int(t) for t in args.terms.split(",")]
+    try:
+        terms = [int(t) for t in args.terms.split(",")]
+    except ValueError:
+        raise UsageError(f"--terms must be comma-separated integers: {args.terms!r}") from None
     return _gp_payload(gpcore.canonicalize(terms))
 
 
 def cmd_gp_contains(args):
-    members = sorted({int(tok) for tok in _read_text(args.input).split()})
+    text = _read_text(args.input)
+    try:
+        members = sorted({int(tok) for tok in text.split()})
+    except ValueError as exc:
+        raise GPFreeError(f"bad member in {args.input}: {exc}") from None
     mode = gpcore.INTEGER if args.mode == "int" else gpcore.RATIONAL
     witness = gpcore.contains_gp(members, args.k, mode)
     return {"witness": _gp_payload(witness) if witness else None}
@@ -135,15 +148,12 @@ def cmd_gp_contains(args):
 # ---------------------------------------------------------------------------
 # divisor subcommands
 
-def _divisor_spec(args) -> divisor.DivisorSpec:
-    if args.k is not None:
-        return divisor.DivisorSpec.single(args.k)
-    return divisor.DivisorSpec.pair(args.i, args.j)
-
-
 def cmd_divisor_table(args):
+    from . import divisor
     limits = _load_limits(args.config)
-    table = divisor.sieve(divisor.Interval(args.start, args.len), _divisor_spec(args), limits)
+    spec = (divisor.DivisorSpec.single(args.k) if args.k is not None
+            else divisor.DivisorSpec.pair(args.i, args.j))
+    table = divisor.sieve(divisor.Interval(args.start, args.len), spec, limits)
     rows = list(table.rows())
     return {
         "interval": {"x": args.start, "h": args.len},
@@ -155,12 +165,14 @@ def cmd_divisor_table(args):
 
 
 def cmd_divisor_sum(args):
+    from . import divisor
     limits = _load_limits(args.config)
     val = divisor.sum_S(divisor.Interval(args.start, args.len), args.i, args.j, args.D, limits)
     return {"x": args.start, "h": args.len, "i": args.i, "j": args.j, "D": args.D, "S": val}
 
 
 def cmd_divisor_mertens(args):
+    from . import divisor
     limits = _load_limits(args.config)
     return {"x": args.x, "sum": divisor.mertens_sum(args.x, limits)}
 
@@ -168,28 +180,26 @@ def cmd_divisor_mertens(args):
 # ---------------------------------------------------------------------------
 # process subcommands
 
-def _parse_kind(s: str) -> process.ProcessKind:
-    return process.ProcessKind(s)
-
-
 def cmd_process_run(args):
+    from . import process
     limits = _load_limits(args.config)
-    cfg = process.ProcessConfig(_parse_kind(args.kind), args.n, args.seed)
+    cfg = process.ProcessConfig(process.ProcessKind(args.kind), args.n, args.seed)
     run_ = process.run(cfg, workers=args.workers, limits=limits)
     doc = process.run_to_dict(run_)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(process.run_to_json(run_))
+        text = process.run_to_json(run_)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GPFreeError(f"cannot write {args.out}: {exc.strerror}") from None
         return {"written": args.out, "counts": doc["counts"], "config": doc["config"]}
     return doc
 
 
-def _load_run(path: str) -> process.ProcessRun:
-    return process.run_from_json(_read_text(path))
-
-
 def cmd_process_gaps(args):
-    rep = process.gap_report(_load_run(args.infile), args.epsilon)
+    from . import process
+    rep = process.gap_report(process.run_from_json(_read_text(args.infile)), args.epsilon)
     return {
         "epsilon": rep.epsilon,
         "max_gap": rep.max_gap,
@@ -201,15 +211,17 @@ def cmd_process_gaps(args):
 
 
 def cmd_process_verify(args):
-    witness = process.verify_free(_load_run(args.infile))
+    from . import process
+    witness = process.verify_free(process.run_from_json(_read_text(args.infile)))
     return {"free": witness is None,
             "witness": _gp_payload(witness) if witness else None}
 
 
 def cmd_process_survival(args):
+    from . import process
     limits = _load_limits(args.config)
     est = process.survival_probability(
-        _parse_kind(args.kind), args.x, args.h, args.trials, args.seed, limits
+        process.ProcessKind(args.kind), args.x, args.h, args.trials, args.seed, limits
     )
     return {
         "kind": est.kind.value, "x": est.x, "h": est.h,
@@ -251,7 +263,7 @@ def cmd_syndetic_export(args):
 
 def cmd_bounds_envelope(args):
     if args.points < 1:
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(f"--points must be at least 1, got {args.points}")
     if args.points == 1:
         xs = [float(args.x0)]
     else:

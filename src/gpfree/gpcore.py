@@ -56,26 +56,6 @@ class KGeoProgression:
 
 
 @dataclass(frozen=True)
-class IntRatio3GP:
-    """3-term progression (a, a*r, a*r**2) with integer ratio r >= 2."""
-
-    a: int
-    r: int
-
-    def __post_init__(self):
-        if self.a < 1:
-            raise DomainError("a must be positive")
-        if self.r < 2:
-            raise DomainError(f"integer ratio must be >= 2, got {self.r}")
-
-    def terms(self) -> list[int]:
-        return [self.a, self.a * self.r, self.a * self.r**2]
-
-    def as_canonical(self) -> KGeoProgression:
-        return KGeoProgression(3, self.a, 1, self.r)
-
-
-@dataclass(frozen=True)
 class GPTriple:
     """3-term GP as x < y < z with y**2 == x*z (rational ratio implied)."""
 
@@ -93,12 +73,8 @@ class GPTriple:
         return [self.x, self.y, self.z]
 
 
-def terms(gp: KGeoProgression) -> list[int]:
-    return gp.terms()
-
-
 def canonicalize(sequence: Sequence[int]) -> KGeoProgression:
-    """Inverse of terms(): recover the unique (k, a, b, c) form.
+    """Inverse of KGeoProgression.terms(): recover the unique (k, a, b, c) form.
 
     Raises NotAGeometricProgression if the ratio is non-constant or any
     implied division fails, TrivialProgression for a constant sequence.

@@ -162,12 +162,6 @@ class TestBounds:
                             "--to", "1e6", "--points", "3")
         assert code == 1 and out == ""
 
-    def test_zero_points_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1",
-                      "--from", "16", "--to", "32", "--points", "0"])
-        assert exc.value.code == 2
-
     def test_unknown_command_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["nonsense"])
@@ -239,6 +233,40 @@ class TestCleanExits:
         missing = str(tmp_path / "absent")
         assert cli.main([a.format(missing=missing) for a in argv]) == 1
         assert missing in self._err_line(capsys)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["gp", "decompose", "--terms", "1,x"], 2),
+        (["gp", "contains", "--k", "3", "--input", "{tokens}"], 1),
+        (["gp", "contains", "--k", "3", "--input", "{latin1}"], 1),
+        (["process", "run", "--kind", "6gp", "--n", "100", "--seed", "1",
+          "--out", "{absent}/run.json"], 1),
+        (["gp", "enumerate", "--k", "3", "--position", "0", "--bound", "10",
+          "--max-items", "0"], 2),
+        (["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "16",
+          "--to", "32", "--points", "0"], 2),
+    ], ids=["terms-token", "input-token", "input-encoding", "out-dir", "max-items-0",
+            "points-0"])
+    def test_bad_input_exits_cleanly(self, capsys, tmp_path, argv, code):
+        (tmp_path / "tokens").write_text("1 x 4\n")
+        (tmp_path / "latin1").write_bytes(b"1 \xe9 4\n")
+        paths = {name: str(tmp_path / name) for name in ("tokens", "latin1", "absent")}
+        assert cli.main([a.format(**paths) for a in argv]) == code
+        prefix = "usage error: " if code == 2 else "error: "
+        assert self._err_line(capsys).startswith(prefix)
+
+    @pytest.mark.parametrize("argv, loads_numpy", [
+        (["gp", "decompose", "--terms", "2,6,18"], False),
+        (["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "1e6",
+          "--to", "1e6", "--points", "1"], False),
+        (["syndetic", "search", "--n", "40", "--pairing", "overlapping"], False),
+        (["divisor", "table", "--k", "2", "--start", "0", "--len", "10"], True),
+    ], ids=["gp", "bounds", "syndetic", "divisor"])
+    def test_numpy_loaded_only_where_used(self, argv, loads_numpy):
+        probe = ("import sys; from gpfree import cli; code = cli.main(sys.argv[1:]); "
+                 "print(code, 'numpy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe, *argv], env=_env_with_src(),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1] == f"0 {loads_numpy}"
 
     def test_import_loads_no_pool_machinery(self):
         probe = ("import sys, gpfree.cli; "
