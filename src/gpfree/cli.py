@@ -184,7 +184,19 @@ def cmd_process_run(args):
     from . import process
     limits = _load_limits(args.config)
     cfg = process.ProcessConfig(process.ProcessKind(args.kind), args.n, args.seed)
-    run_ = process.run(cfg, workers=args.workers, limits=limits)
+    created = False
+    if args.out:  # find an unwritable --out before the run, not after it
+        created = not os.path.exists(args.out)
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise GPFreeError(f"cannot write {args.out}: {exc.strerror}") from None
+    try:
+        run_ = process.run(cfg, workers=args.workers, limits=limits)
+    except BaseException:
+        if created:  # leave no empty file behind a failed run
+            os.remove(args.out)
+        raise
     doc = process.run_to_dict(run_)
     if args.out:
         text = process.run_to_json(run_)

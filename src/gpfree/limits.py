@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Limits:
     sieve_max_len: int = 10**7        # longest divisor-table window
-    mertens_max_x: int = 10**8        # largest prime-sum cutoff
+    mertens_max_x: int = 10**8        # largest prime-sum cutoff and sieve prime base
     process_max_n: int = 10**7        # largest process horizon
     search_node_budget: int | None = None   # None = unbounded
     search_time_budget_s: float | None = None

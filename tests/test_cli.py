@@ -91,6 +91,19 @@ class TestDivisor:
                           "--start", "0", "--len", "99999999999")
         assert code == 3
 
+    def test_prime_base_budget_exit_3(self, capsys):
+        # sqrt(2**63) is about 3.04e9, beyond the default prime-base budget of 1e8
+        code = cli.main(["divisor", "table", "--k", "2",
+                         "--start", "9223372036854000000", "--len", "10"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("resource limit: ") and len(err.strip().splitlines()) == 1
+
+    def test_window_at_1e15(self, capsys):
+        doc = run_json(capsys, "divisor", "table", "--k", "2",
+                       "--start", str(10**15 - 1), "--len", "3")
+        assert doc["payload"]["rows"][0] == [10**15, 64]  # 2**15 * 5**15
+
 
 class TestProcess:
     def test_run_verify_gaps_pipeline(self, capsys, tmp_path):
@@ -253,6 +266,25 @@ class TestCleanExits:
         assert cli.main([a.format(**paths) for a in argv]) == code
         prefix = "usage error: " if code == 2 else "error: "
         assert self._err_line(capsys).startswith(prefix)
+
+    def test_unwritable_out_found_before_run(self, capsys, tmp_path, monkeypatch):
+        from gpfree import process
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("process.run called with an unwritable --out")
+        monkeypatch.setattr(process, "run", must_not_run)
+        out = tmp_path / "absent" / "run.json"
+        code = cli.main(["process", "run", "--kind", "5gp", "--n", "3000000", "--seed", "1",
+                         "--out", str(out)])
+        assert code == 1
+        assert self._err_line(capsys).startswith(f"error: cannot write {out}")
+
+    def test_failed_run_leaves_no_out_file(self, capsys, tmp_path):
+        out = tmp_path / "run.json"
+        code = cli.main(["process", "run", "--kind", "6gp", "--n", str(10**8), "--seed", "1",
+                         "--out", str(out)])
+        assert code == 3 and not out.exists()
+        self._err_line(capsys)
 
     @pytest.mark.parametrize("argv, loads_numpy", [
         (["gp", "decompose", "--terms", "2,6,18"], False),

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpfree import divisor
@@ -11,6 +12,75 @@ from gpfree.limits import DEFAULT_LIMITS
 from oracles import brute_d_ij, brute_d_k
 
 LOG2 = math.log(2)
+INT64_MAX = 2**63 - 1
+
+
+def _primes_between(lo, hi):
+    return [p for p in range(max(lo, 2), hi) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+MID_PRIMES = _primes_between(50, 3000)
+SPECS = st.one_of(
+    st.builds(divisor.DivisorSpec.single, st.integers(1, 5)),
+    st.builds(divisor.DivisorSpec.pair, st.integers(1, 4), st.integers(1, 4)),
+)
+# s = k or min(i, j) >= 3: only primes up to the cube root of n matter
+CUBE_SPECS = st.one_of(
+    st.builds(divisor.DivisorSpec.single, st.integers(3, 6)),
+    st.builds(divisor.DivisorSpec.pair, st.integers(3, 5), st.integers(3, 5)),
+)
+
+
+@st.composite
+def windows(draw):
+    """(x, h): random, long, or built so that large primes land inside.
+
+    "two-primes": two primes > h divide the same n.  "prime-power": p**2 or
+    p**3 divides some n for a prime p > h.  "long": enough multiples of the
+    small primes that they are applied as strided slices.
+    """
+    shape = draw(st.sampled_from(["random", "long", "two-primes", "prime-power"]))
+    if shape == "random":
+        return draw(st.integers(0, 10**9)), draw(st.integers(1, 60))
+    if shape == "long":
+        return draw(st.integers(0, 10**6)), draw(st.integers(100, 1500))
+    h = draw(st.integers(1, 40))
+    p = draw(st.sampled_from(MID_PRIMES))
+    if shape == "two-primes":
+        n = p * draw(st.sampled_from([q for q in MID_PRIMES if q != p])) * draw(st.integers(1, 30))
+    else:
+        n = p ** draw(st.integers(2, 3)) * draw(st.integers(1, 40))
+    return max(0, n - 1 - draw(st.integers(0, h - 1))), h
+
+
+def _cube_part_value(n, spec, primes):
+    """spec.of(n) from the prime powers p**a || n with p <= n**(1/3).
+
+    Any other prime has exponent <= 2 in n, which weighs 1 when s >= 3.
+    """
+    value = 1
+    for p in primes[n % primes == 0].tolist():
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        value *= spec.of(p**a)
+    return value
+
+
+def _classic_sieve(limit):
+    """Primes <= limit from one boolean array."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).astype(np.int64)
+
+
+@pytest.fixture(scope="module")
+def cube_root_primes():
+    return _classic_sieve(2**21)  # 2**21 = cube root of 2**63
 
 
 class TestFactorize:
@@ -85,13 +155,51 @@ class TestSieve:
             divisor.sieve(divisor.Interval(0, DEFAULT_LIMITS.sieve_max_len + 1),
                           divisor.DivisorSpec.single(2))
 
-    @given(x=st.integers(0, 10**9), h=st.integers(1, 80),
-           i=st.integers(1, 3), j=st.integers(1, 3))
-    @settings(max_examples=40, deadline=None)
-    def test_segment_matches_pointwise_random(self, x, h, i, j):
-        table = divisor.sieve(divisor.Interval(x, h), divisor.DivisorSpec.pair(i, j))
+    @given(window=windows(), spec=SPECS)
+    @example(window=(0, 1), spec=divisor.DivisorSpec.single(1))
+    @example(window=(0, 1), spec=divisor.DivisorSpec.pair(1, 1))
+    @example(window=(0, 1024), spec=divisor.DivisorSpec.single(1))
+    @example(window=(0, 1024), spec=divisor.DivisorSpec.single(2))
+    @example(window=(1009 * 1013 - 5, 6), spec=divisor.DivisorSpec.pair(1, 2))
+    @example(window=(1009**2 * 3 - 2, 4), spec=divisor.DivisorSpec.single(2))
+    @settings(max_examples=120, deadline=None)
+    def test_segment_matches_pointwise_random(self, window, spec):
+        table = divisor.sieve(divisor.Interval(*window), spec)
         for n, v in table.rows():
-            assert v == divisor.d_ij(n, i, j)
+            assert v == spec.of(n)
+
+    @given(h=st.integers(1, 30), slack=st.integers(0, 1000), spec=CUBE_SPECS)
+    @example(h=1, slack=0, spec=divisor.DivisorSpec.single(3))
+    @example(h=30, slack=0, spec=divisor.DivisorSpec.pair(3, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_window_ending_near_int64_max(self, h, slack, spec, cube_root_primes):
+        x = INT64_MAX - h - slack
+        limits = DEFAULT_LIMITS.with_overrides(mertens_max_x=2**32)
+        table = divisor.sieve(divisor.Interval(x, h), spec, limits)
+        for n, v in table.rows():
+            assert v == _cube_part_value(n, spec, cube_root_primes)
+
+    def test_powers_of_two_up_to_2_62(self):
+        limits = DEFAULT_LIMITS.with_overrides(mertens_max_x=2**32)
+        spec = divisor.DivisorSpec.single(3)
+        table = divisor.sieve(divisor.Interval(2**62 - 1, 1), spec, limits)
+        assert table.values == (62 // 3 + 1,)
+
+    def test_prime_base_budget(self):
+        with pytest.raises(ResourceLimit):
+            divisor.sieve(divisor.Interval(INT64_MAX - 10, 10), divisor.DivisorSpec.single(2))
+        small = DEFAULT_LIMITS.with_overrides(mertens_max_x=999)
+        with pytest.raises(ResourceLimit):  # isqrt(10**6) = 1000
+            divisor.sum_S(divisor.Interval(10**6 - 1, 1), 2, 3, LOG2, small)
+        divisor.sum_S(divisor.Interval(10**6 - 2, 1), 2, 3, LOG2, small)
+
+    def test_primes_upto_matches_trial_division(self):
+        assert divisor.primes_upto(3000).tolist() == _primes_between(2, 3001)
+        for limit in (0, 1, 2, 3, 4):
+            assert divisor.primes_upto(limit).tolist() == _primes_between(2, limit + 1)
+        # crosses the segment boundaries of the odd-only generator
+        limit = 3 * 2**20 + 5
+        assert np.array_equal(divisor.primes_upto(limit), _classic_sieve(limit))
 
 
 class TestSums:
@@ -116,6 +224,15 @@ class TestSums:
         direct = math.fsum(
             sorted(math.exp(-D * divisor.d_ij(n, 2, 3)) for n in range(x + 1, x + h + 1))
         )
-        assert divisor.sum_S(divisor.Interval(x, h), 2, 3, D) == pytest.approx(
-            direct, rel=1e-15
-        )
+        assert divisor.sum_S(divisor.Interval(x, h), 2, 3, D) == direct
+
+    @pytest.mark.parametrize("x, S", [
+        (10**6, 367607.5788922655),
+        (10**9, 367603.45426077815),
+        (10**12, 367601.743892638),
+    ])
+    def test_sum_anchor_h_1e6(self, x, S):
+        assert divisor.sum_S(divisor.Interval(x, 10**6), 2, 3, 0.693147) == S
+
+    def test_mertens_anchor_1e8(self):
+        assert divisor.mertens_sum(10**8) == 3.1749752299205256
