@@ -12,7 +12,8 @@ counting.
 multiples in the window, one vectorised batch for the rest.  Its prime base,
 the primes <= sqrt(x+h), comes from an odd-only segmented generator and is
 bounded by `Limits.mertens_max_x`; `mertens_sum` streams the same generator
-into one math.fsum.  The scalar d_k and d_ij stay as the tests' reference.
+into one math.fsum.  The pointwise d_k, d_ij and DivisorSpec.of are one
+weight-driven product over `factorize`.
 """
 
 from __future__ import annotations
@@ -110,24 +111,6 @@ def _lattice_count(alpha: int, i: int, j: int) -> int:
     return sum((alpha - i * e) // j + 1 for e in range(alpha // i + 1))
 
 
-def d_k(n: int, k: int) -> int:
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    prod = 1
-    for _, alpha in factorize(n):
-        prod *= alpha // k + 1
-    return prod
-
-
-def d_ij(n: int, i: int, j: int) -> int:
-    if i < 1 or j < 1:
-        raise DomainError(f"exponents must be >= 1, got ({i}, {j})")
-    prod = 1
-    for _, alpha in factorize(n):
-        prod *= _lattice_count(alpha, i, j)
-    return prod
-
-
 @dataclass(frozen=True)
 class DivisorSpec:
     """Either a single exponent k (d_k) or a pair (i, j) (d_{i,j})."""
@@ -163,13 +146,19 @@ class DivisorSpec:
         return _lattice_count(alpha, self.i, self.j)
 
     def of(self, n: int) -> int:
-        """Pointwise value."""
-        if self.k is not None:
-            return d_k(n, self.k)
-        return d_ij(n, self.i, self.j)
+        """Pointwise value: the product of weight(alpha) over p**alpha || n."""
+        return math.prod(self.weight(alpha) for _, alpha in factorize(n))
 
     def label(self) -> str:
         return f"d_{self.k}" if self.k is not None else f"d_{{{self.i},{self.j}}}"
+
+
+def d_k(n: int, k: int) -> int:
+    return DivisorSpec.single(k).of(n)
+
+
+def d_ij(n: int, i: int, j: int) -> int:
+    return DivisorSpec.pair(i, j).of(n)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +30,7 @@ from .gpcore import (
     RATIONAL,
     KGeoProgression,
     contains_gp,
-    find_gps_with_term_at,
+    find_gps_with_term_at,  # noqa: F401  perfbench/layers.py rebinds it in this module
 )
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -293,35 +293,38 @@ class SurvivalEstimate:
 def _removal_events(kind: ProcessKind, n: int) -> list[tuple[tuple[int, int, int, int], float, bool]]:
     """Events that would remove n: (coin key, threshold, fires-when-below).
 
-    Keys identify the progression; n is removed in a trial iff at least one
-    event's coin falls on its firing side.  Equivalent to running the full
-    truncated process, since any progression able to remove n has its smaller
-    removable term <= n and is therefore enumerated.
+    Read off `_FAMILY`, the table `run` walks: n is the smaller removable
+    term a*b^sb*c^sc, or the larger one a*b^lb*c^lc, of the progression
+    (k, a, b, c) exactly when that weight divides n, for coprime b < c among
+    the divisors of n (b = 1 for the integer-ratio family).  The threshold is
+    1/2 for the fair coin and p(larger) for a biased one, and the event fires
+    below it exactly when "n is the smaller term" differs from "the coin is
+    biased".  n is removed in a trial iff some event's coin falls on its
+    firing side.  Equivalent to running the full truncated process, since any
+    progression able to remove n has its smaller removable term <= n.
     """
+    from .divisor import factorize  # here, so that `process run` does not import it
+
+    k, mode, smaller, larger, biased = _FAMILY[kind]
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    divs.sort()
+    bs = divs if mode == RATIONAL else [1]
     events = []
-    if kind is ProcessKind.SIX_GP:
-        for gp in find_gps_with_term_at(n, 6, 2):
-            events.append(((6, gp.a, gp.b, gp.c), 0.5, True))
-        for gp in find_gps_with_term_at(n, 6, 3):
-            events.append(((6, gp.a, gp.b, gp.c), 0.5, False))
-    elif kind is ProcessKind.FIVE_GP:
-        for gp in find_gps_with_term_at(n, 5, 1):
-            mid = gp.term_at(2)
-            events.append(((5, gp.a, gp.b, gp.c), p_default(mid), False))
-        for gp in find_gps_with_term_at(n, 5, 2):
-            events.append(((5, gp.a, gp.b, gp.c), p_default(n), True))
-    else:
-        divisors = set()
-        for d in range(1, isqrt(n) + 1):
-            if n % d == 0:
-                divisors.update((d, n // d))
-        for r in sorted(divisors):
-            if r < 2:
+    for is_smaller, (eb, ec) in ((True, smaller), (False, larger)):
+        for c in divs[1:]:
+            if n % c**ec:
                 continue
-            a = n // r  # n = a*r, second term
-            events.append(((3, a, 1, r), p_default(a * r * r), False))
-            if n % (r * r) == 0:  # n = a*r**2, third term
-                events.append(((3, n // (r * r), 1, r), p_default(n), True))
+            for b in bs:
+                if b >= c:
+                    break
+                w = b**eb * c**ec
+                if n % w or gcd(b, c) != 1:
+                    continue
+                a = n // w
+                thr = p_default(a * b ** larger[0] * c ** larger[1]) if biased else 0.5
+                events.append(((k, a, b, c), thr, is_smaller != biased))
     return events
 
 
@@ -335,10 +338,15 @@ def survival_probability(
 ) -> SurvivalEstimate:
     """Fraction of independent trials in which (x, x+h] is wiped out.
 
+    Trial t runs the process with seed derive_seed(seed, t), restricted to
+    the removal events of the window.  The events of n are built the first
+    time a trial reaches n and kept for later trials, so a trial that finds
+    a survivor early costs only the events up to it.
+
     For the 6-GP process the window must satisfy h < sqrt(x): that is the
     hypothesis under which no progression has both middle terms inside the
     window, making the per-element removal events independent.  The
-    separation is verified, not assumed.
+    separation is verified over the whole window, not assumed.
     """
     if x < 16:
         raise DomainError(f"x must be >= 16, got {x}")
@@ -350,34 +358,30 @@ def survival_probability(
         raise DomainError(f"6gp window needs h < sqrt(x); got h={h}, x={x}")
 
     window = range(x + 1, x + h + 1)
-    events_by_n = {n: _removal_events(kind, n) for n in window}
+    cache: dict[int, list] = {}
+
+    def events_of(n: int) -> list:
+        if n not in cache:
+            cache[n] = _removal_events(kind, n)
+        return cache[n]
 
     if kind is ProcessKind.SIX_GP:
         seen: dict[tuple[int, int, int, int], int] = {}
-        for n, events in events_by_n.items():
-            for key, _, _ in events:
-                if key in seen and seen[key] != n:
+        for n in window:
+            for key, _, _ in events_of(n):
+                if seen.setdefault(key, n) != n:
                     raise DomainError(
                         f"middle terms {seen[key]} and {n} of one 6-GP share the window"
                     )
-                seen[key] = n
 
     empties = 0
     for t in range(trials):
         ts = derive_seed(seed, t)
-        wiped = True
-        for n in window:
-            removed = False
-            for (k, a, b, c), thr, below in events_by_n[n]:
-                u = (coin_bits(ts, k, a, b, c) >> 11) * _INV53
-                if (u < thr) == below:
-                    removed = True
-                    break
-            if not removed:
-                wiped = False
-                break
-        if wiped:
-            empties += 1
+        empties += all(
+            any(((coin_bits(ts, *key) >> 11) * _INV53 < thr) == below
+                for key, thr, below in events_of(n))
+            for n in window
+        )
     return SurvivalEstimate(kind, x, h, trials, empties)
 
 

@@ -4,6 +4,7 @@ Each test also prints a `[criterion N] PASS/FAIL` line with the measured
 values, visible with `pytest -s` or in the captured output of failures.
 """
 
+import hashlib
 import math
 import random
 
@@ -201,20 +202,38 @@ def test_criterion_8_shiu_shape():
     report(8, ok, f"S/h={ratios} spread={spread:.3f}")
 
 
-def test_criterion_9_determinism_across_workers():
-    """Byte-identical run serialization for 1 vs 8 workers, every kind."""
+# SHA-256 of run_to_json + run_to_bitmap at N = 1e5, seed 1, frozen from the
+# kernel's output; any change to the bytes of a run shows here
+RUN_DIGEST_1E5 = {
+    K6: "f68c2e49cae3ae16ac9ed0b8f32cd0745df61f762d6ccb6d6cf17838e4968c59",
+    K5: "0052b2545bb09dd19b02e6ade5816de13a268efe8b8363b634920ab9ca530025",
+    K3: "3f731b4518724778cf1f55ce39816a583be0bc74d980f26694e3ef5da19c2833",
+}
+
+
+def test_criterion_9_determinism_across_workers(monkeypatch):
+    """Run JSON and bitmaps do not depend on how the work is cut up.
+
+    There is one serial code path, so "workers" means the array chunk size:
+    every kind gives byte-identical output for process._CHUNK in
+    {7, 2**10, 2**16} at N = 1e4, and matches its pinned digest at N = 1e5
+    for the chunks 2**10 and 2**16 (chunk 7 takes about 10 s per kind there).
+    """
+    def blob(kind, n):
+        run = process.run(process.ProcessConfig(kind, n, 1))
+        return process.run_to_json(run).encode() + process.run_to_bitmap(run)
+
     bad = []
     for kind in (K6, K5, K3):
-        cfg = process.ProcessConfig(kind, 10**5, 1)
-        one = process.run_to_json(process.run(cfg, workers=1))
-        eight = process.run_to_json(process.run(cfg, workers=8))
-        if one != eight:
-            bad.append(kind.value)
-        blob1 = process.run_to_bitmap(process.run(cfg, workers=1))
-        blob8 = process.run_to_bitmap(process.run(cfg, workers=8))
-        if blob1 != blob8:
-            bad.append((kind.value, "bitmap"))
-    report(9, not bad, f"N=1e5 seed=1, json+bitmap, 3 kinds: bad={bad}")
+        blobs = set()
+        for chunk in (7, 2**10, 2**16):
+            monkeypatch.setattr(process, "_CHUNK", chunk)
+            blobs.add(blob(kind, 10**4))
+            if chunk > 7 and hashlib.sha256(blob(kind, 10**5)).hexdigest() != RUN_DIGEST_1E5[kind]:
+                bad.append((kind.value, chunk, "digest"))
+        if len(blobs) != 1:
+            bad.append((kind.value, "chunks"))
+    report(9, not bad, f"json+bitmap, 3 kinds, chunks 7/2^10/2^16: bad={bad}")
 
 
 def test_supplement_mertens_anchor():

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from gpfree import cli
+from gpfree import cli, process
+from test_process import full_run_empties
 
 
 def _env_with_src():
@@ -122,6 +123,15 @@ class TestProcess:
         doc = run_json(capsys, "process", "survival", "--kind", "3gp-int",
                        "--x", "100", "--h", "5", "--trials", "50", "--seed", "2")
         assert doc["payload"]["trials"] == 50
+
+    def test_survival_5gp_beyond_64_bit_terms(self, capsys):
+        # some 5-GPs through x = 1e5 have their largest term above 2**64
+        doc = run_json(capsys, "process", "survival", "--kind", "5gp",
+                       "--x", "100000", "--h", "2", "--trials", "10", "--seed", "1")
+        p = doc["payload"]
+        empties = full_run_empties(process.ProcessKind.FIVE_GP, 10**5, 2, 10, 1)
+        assert p == {"kind": "5gp", "x": 10**5, "h": 2, "trials": 10,
+                     "empties": empties, "estimate": empties / 10}
 
     def test_survival_bad_window_exit_1(self, capsys):
         code, _ = run_cli(capsys, "process", "survival", "--kind", "6gp",

@@ -278,27 +278,65 @@ class TestSurvival:
         with pytest.raises(DomainError):
             process.survival_probability(K6, 10, 2, 10, 1)
 
+    # the event-based estimator must agree with literally running the
+    # process and inspecting the window
     def test_matches_full_runs_3gp(self):
-        # the event-based estimator must agree with literally running the
-        # process and inspecting the window
-        x, h, trials, seed = 100, 6, 60, 5
-        est = process.survival_probability(K3, x, h, trials, seed)
-        empties = 0
-        for t in range(trials):
-            run = process.run(cfg(K3, x + h, process.derive_seed(seed, t)))
-            if not (set(run.survivors()) & set(range(x + 1, x + h + 1))):
-                empties += 1
-        assert est.empties == empties
+        est = process.survival_probability(K3, 100, 6, 60, 5)
+        assert est.empties == full_run_empties(K3, 100, 6, 60, 5)
 
     def test_matches_full_runs_6gp(self):
-        x, h, trials, seed = 400, 10, 60, 7
-        est = process.survival_probability(K6, x, h, trials, seed)
-        empties = 0
-        for t in range(trials):
-            run = process.run(cfg(K6, x + h, process.derive_seed(seed, t)))
-            if not (set(run.survivors()) & set(range(x + 1, x + h + 1))):
-                empties += 1
-        assert est.empties == empties
+        est = process.survival_probability(K6, 400, 10, 60, 7)
+        assert est.empties == full_run_empties(K6, 400, 10, 60, 7)
+
+    @pytest.mark.parametrize("x,h", [(200, 3), (1000, 2), (5000, 2)])
+    def test_matches_full_runs_5gp(self, x, h):
+        est = process.survival_probability(K5, x, h, 40, 1)
+        assert est.empties == full_run_empties(K5, x, h, 40, 1)
+
+    @given(kind=st.sampled_from([K6, K5, K3]), seed=st.integers(0, 2**64 - 1),
+           x=st.one_of(st.integers(16, 3000), st.integers(65000, 70000)),
+           h=st.integers(1, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_events_remove_what_run_removes(self, kind, seed, x, h):
+        # element by element: n fires one of its events exactly when the full
+        # run removes it; above x = 65536 some 5-GPs have terms beyond 2**64
+        removed = process.run(cfg(kind, x + h, seed)).removed_set()
+        for n in range(x + 1, x + h + 1):
+            fired = any(((process.coin_bits(seed, *key) >> 11) * 2.0**-53 < thr) == below
+                        for key, thr, below in process._removal_events(kind, n))
+            assert fired == (n in removed), n
+
+    @pytest.mark.parametrize("kind,k,positions", [(K6, 6, (2, 3)), (K5, 5, (1, 2)), (K3, 3, (1, 2))])
+    def test_event_keys_are_the_progressions_through_n(self, kind, k, positions):
+        # gpcore enumerates the canonical k-GPs with n at a removable position
+        for n in range(16, 1500):
+            want = sorted((k, gp.a, gp.b, gp.c) for pos in positions
+                          for gp in gpcore.find_gps_with_term_at(n, k, pos)
+                          if kind is not K3 or gp.b == 1)
+            assert sorted(key for key, _, _ in process._removal_events(kind, n)) == want, n
+
+    def test_events_built_once_and_only_when_reached(self, monkeypatch):
+        calls = []
+        events = process._removal_events
+        monkeypatch.setattr(process, "_removal_events",
+                            lambda kind, n: calls.append(n) or events(kind, n))
+        # trials stop at the first survivor, far before the end of the window
+        assert process.survival_probability(K3, 16, 10**6, 20, 1).empties == 0
+        assert 0 < len(calls) == len(set(calls)) < 1000
+        # the 6-GP separation check walks the whole window, once
+        calls.clear()
+        process.survival_probability(K6, 10**4, 99, 20, 1)
+        assert sorted(calls) == list(range(10**4 + 1, 10**4 + 100))
+
+
+def full_run_empties(kind, x, h, trials, seed):
+    """Trials whose full run of the process leaves no survivor in (x, x+h]."""
+    empties = 0
+    for t in range(trials):
+        run = process.run(cfg(kind, x + h, process.derive_seed(seed, t)))
+        if not (set(run.survivors()) & set(range(x + 1, x + h + 1))):
+            empties += 1
+    return empties
 
 
 class TestSerialization:
