@@ -8,8 +8,8 @@ Subpackages:
   syndetic  exhaustive pair-selection search on [1, N]
   cli       command-line front end
 
-Import a module to use it (`from gpfree import process`); only divisor and
-process load numpy.
+Import a module to use it (`from gpfree import process`); only process loads
+numpy.
 """
 
 __version__ = "0.1.0"

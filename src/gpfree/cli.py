@@ -15,8 +15,8 @@ either command, which both run serially.  A --config FILE of key=value lines
 may preset the resource budgets of gpfree.limits.Limits.  A file that cannot
 be read or written exits 1.
 
-Only the `divisor` and `process` commands import numpy, inside the command, so
-their `elapsed_ms` includes that import; the payload is unchanged.
+Only the `process` commands import numpy, inside the command, so their
+`elapsed_ms` includes that import; the payload is unchanged.
 """
 
 from __future__ import annotations

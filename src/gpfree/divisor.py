@@ -1,5 +1,5 @@
-"""Divisor-counting functions d_k and d_{i,j}, a numpy window sieve for them,
-and the short-interval sums S_{i,j}(x, h, D) = sum exp(-D*d_{i,j}(n)) over
+"""Divisor-counting functions d_k and d_{i,j}, a window sieve for them, and
+the short-interval sums S_{i,j}(x, h, D) = sum exp(-D*d_{i,j}(n)) over
 (x, x+h].
 
 d_k(n) counts k-th powers dividing n; per prime power p**alpha it contributes
@@ -8,24 +8,26 @@ prime power it contributes the lattice points under i*e + j*f <= alpha.  Both
 are multiplicative, which the test suite confirms against literal pair
 counting.
 
-`sieve` works on int64 arrays: strided slices for the prime powers with many
-multiples in the window, one vectorised batch for the rest.  Its prime base,
-the primes <= sqrt(x+h), comes from an odd-only segmented generator and is
-bounded by `Limits.mertens_max_x`; `mertens_sum` streams the same generator
-into one math.fsum.  The pointwise d_k, d_ij and DivisorSpec.of are one
-weight-driven product over `factorize`.
+The module uses the standard library only, so the `divisor` commands start
+without numpy.  `sieve` applies each prime power as list slices over the
+window.  Its prime base, the primes <= sqrt(x+h), comes from an odd-only
+segmented generator over a bytearray and is bounded by
+`Limits.mertens_max_x`; `mertens_sum` streams the same generator into one
+math.fsum.  The pointwise d_k, d_ij and DivisorSpec.of are one weight-driven
+product over `factorize`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from array import array
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import isqrt
-
-import numpy as np
+from operator import add, mul, truediv
 
 from .errors import DomainError, ResourceLimit
 from .limits import DEFAULT_LIMITS, Limits
@@ -34,38 +36,47 @@ Factorization = list[tuple[int, int]]
 
 
 _SEGMENT = 1 << 19  # odd numbers per segment of the prime generator
+_RUN = 1 << 14  # odd numbers per run that the primes are picked from
+# compress picks the primes' offsets out of this list without making an int
+# per candidate, as compress over a range would
+_OFFSETS = list(range(0, 2 * _RUN, 2))
 
 
-def _prime_segments(limit: int) -> Iterator[np.ndarray]:
-    """Primes <= limit, ascending, as one int64 array per segment.
+def _prime_segments(limit: int) -> Iterator[Iterable[int]]:
+    """Primes <= limit, ascending, one iterable per run of odd numbers.
 
-    Odd-only segmented sieve of Eratosthenes: each segment holds 2**19 odd
-    numbers and is crossed off by the odd primes <= sqrt(limit), so memory
-    stays bounded however large `limit` is.
+    Odd-only segmented sieve of Eratosthenes: each segment holds up to 2**19
+    odd numbers lo, lo+2, ... as bytearray flags, crossed off by slice
+    assignment with the odd primes <= sqrt(limit), so memory stays bounded
+    however large `limit` is.
     """
     if limit < 2:
         return
-    yield np.array([2], dtype=np.int64)
-    base = primes_upto(isqrt(limit))[1:].tolist()
+    yield (2,)
+    base = primes_upto(isqrt(limit))[1:]
     for lo in range(3, limit + 1, 2 * _SEGMENT):
         hi = min(lo + 2 * _SEGMENT, limit + 1)  # the segment is lo, lo+2, ... < hi
-        flags = np.ones((hi - lo + 1) // 2, dtype=bool)
+        m = (hi - lo + 1) // 2
+        flags = bytearray(b"\x01") * m
         for p in base:
             if p * p >= hi:
                 break
             first = max(p * p, -(-lo // p) * p)
             if first % 2 == 0:
                 first += p
-            flags[(first - lo) // 2 :: p] = False
-        yield lo + 2 * np.flatnonzero(flags).astype(np.int64)
+            marks = range((first - lo) // 2, m, p)
+            flags[marks.start :: p] = bytes(len(marks))
+        for c in range(0, m, _RUN):
+            yield map(add, repeat(lo + 2 * c), compress(_OFFSETS, flags[c : c + _RUN]))
 
 
 @lru_cache(maxsize=8)
-def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as one read-only int64 array."""
-    out = np.concatenate([np.empty(0, dtype=np.int64), *_prime_segments(limit)])
-    out.setflags(write=False)  # the cache hands the same array to every caller
-    return out
+def primes_upto(limit: int) -> array:
+    """All primes <= limit, ascending, as one int64 array.
+
+    The cache hands the same array to every caller, which must not change it.
+    """
+    return array("q", chain.from_iterable(_prime_segments(limit)))
 
 
 def _iroot(n: int, k: int) -> int:
@@ -191,14 +202,8 @@ class DivisorTable:
             yield self.interval.x + 1 + t, v
 
 
-# A prime power with at least this many multiples in the window is applied as
-# strided slices; rarer ones go through the batch, whose per-hit cost is
-# higher but which has no per-prime interpreter overhead.
-_STRIDE_MIN_HITS = 64
-
-
-def _sieve_values(interval: Interval, spec: DivisorSpec, limits: Limits) -> np.ndarray:
-    """int64 array of spec.of(n) for n = x+1 .. x+h."""
+def _sieve_values(interval: Interval, spec: DivisorSpec, limits: Limits) -> list[int]:
+    """spec.of(n) for n = x+1 .. x+h, as a list."""
     if interval.h > limits.sieve_max_len:
         raise ResourceLimit(
             f"window length {interval.h} exceeds budget {limits.sieve_max_len}"
@@ -210,51 +215,40 @@ def _sieve_values(interval: Interval, spec: DivisorSpec, limits: Limits) -> np.n
             f"prime base up to isqrt({end}) = {isqrt(end)} exceeds budget "
             f"{limits.mertens_max_x}"
         )
-    W = np.array([spec.weight(a) for a in range(64)], dtype=np.int64)  # n < 2**63
-    vals = np.ones(h, dtype=np.int64)
-    if W.max() == 1:
+    W = [spec.weight(a) for a in range(64)]  # n < 2**63
+    vals = [1] * h
+    if max(W) == 1:
         return vals
     # Only primes with p**s | n change the value.  With s == 1 a prime above
     # sqrt(x+h) can still divide n once; `prod` collects the sieved part of n
     # so that such a cofactor shows.
-    s = int(np.argmax(W > 1))
-    prod = np.ones(h, dtype=np.int64) if s == 1 else None
-    ps = primes_upto(_iroot(end, max(s, 2)))
-    qs = ps**s
-    cut = int(np.searchsorted(qs, h // _STRIDE_MIN_HITS, side="right"))
-
-    for p, q in zip(ps[:cut].tolist(), qs[:cut].tolist()):
+    s = next(a for a, w in enumerate(W) if w > 1)
+    prod = [1] * h if s == 1 else None
+    for p in primes_upto(_iroot(end, max(s, 2))):
+        q = p**s
         o = (-n0) % q
-        e = np.full((h - 1 - o) // q + 1, s, dtype=np.int64)  # exponent of p
-        qq = q * p
+        if o >= h:
+            continue
+        # wt[r] and pk[r] are the weight and the power of p at the r-th
+        # multiple of p**s in the window; the multiples of p**(s+1),
+        # p**(s+2), ... are nested slices of them
+        wt = [W[s]] * ((h - 1 - o) // q + 1)
+        pk = [q] * len(wt) if prod is not None else None
+        a, qq = s + 1, q * p
         while qq <= end and (oo := (-n0) % qq) < h:
-            e[(oo - o) // q :: qq // q] += 1
-            qq *= p
-        vals[o::q] *= W[e]
-        if prod is not None:
-            prod[o::q] *= p**e
-
-    # one entry per (prime, multiple of p**s in the window)
-    ps, qs = ps[cut:], qs[cut:]
-    off = (-n0) % qs
-    hits = np.where(off < h, (h - 1 - off) // qs + 1, 0)
-    idx = np.repeat(np.arange(len(qs)), hits)
-    rank = np.arange(len(idx)) - np.repeat(np.cumsum(hits) - hits, hits)
-    t = off[idx] + rank * qs[idx]
-    pb = ps[idx]
-    n = n0 + t
-    m = n // qs[idx]  # n / p**alpha, with alpha = s so far
-    alpha = np.full(len(idx), s, dtype=np.int64)
-    live = np.flatnonzero(m % pb == 0)
-    while live.size:
-        alpha[live] += 1
-        m[live] //= pb[live]
-        live = live[m[live] % pb[live] == 0]
-    np.multiply.at(vals, t, W[alpha])  # two primes may divide the same n
+            step = qq // q
+            r = range((oo - o) // q, len(wt), step)
+            wt[r.start :: step] = repeat(W[a], len(r))
+            if pk is not None:
+                pk[r.start :: step] = repeat(qq, len(r))
+            a, qq = a + 1, qq * p
+        vals[o::q] = map(mul, vals[o::q], wt)
+        if pk is not None:
+            prod[o::q] = map(mul, prod[o::q], pk)
 
     if prod is not None:
-        np.multiply.at(prod, t, n // m)
-        vals[(n0 + np.arange(h, dtype=np.int64)) // prod > 1] *= W[1]
+        w1 = W[1]
+        vals = [v * w1 if m != n else v for v, m, n in zip(vals, prod, range(n0, end + 1))]
     return vals
 
 
@@ -262,18 +256,16 @@ def sieve(interval: Interval, spec: DivisorSpec, limits: Limits = DEFAULT_LIMITS
     """Segmented bulk evaluation over (x, x+h].
 
     Let s be the least exponent whose weight exceeds 1 (s = k for d_k,
-    min(i, j) for d_{i,j}); only primes p with p**s | n matter.  A prime
-    power p**s with many multiples in the window is applied as one strided
-    slice, with the exponent raised by nested strides over p**(s+1), ...;
-    the remaining primes, each with few multiples in the window, are applied
-    as one vectorised batch.  For s = 1, whatever is left of n after
-    dividing out the primes <= sqrt(x+h) is a prime with exponent 1.
+    min(i, j) for d_{i,j}); only primes p with p**s | n matter.  Each prime
+    power p**s is applied as one strided slice of the window, with the
+    exponent of p raised by nested slices over p**(s+1), p**(s+2), ....  For
+    s = 1, whatever is left of n after dividing out the primes <= sqrt(x+h)
+    is a prime with exponent 1.
 
     Raises ResourceLimit when h exceeds `limits.sieve_max_len` or the prime
     base sqrt(x+h) exceeds `limits.mertens_max_x`.
     """
-    vals = _sieve_values(interval, spec, limits)
-    return DivisorTable(interval, spec, tuple(vals.tolist()))
+    return DivisorTable(interval, spec, tuple(_sieve_values(interval, spec, limits)))
 
 
 def sum_S(
@@ -287,10 +279,9 @@ def sum_S(
     """
     if D <= 0:
         raise DomainError(f"D must be positive, got {D}")
-    vals = _sieve_values(interval, DivisorSpec.pair(i, j), limits)
-    distinct, counts = np.unique(vals, return_counts=True)
+    counts = Counter(_sieve_values(interval, DivisorSpec.pair(i, j), limits))
     return math.fsum(chain.from_iterable(
-        repeat(math.exp(-D * v), c) for v, c in zip(distinct.tolist(), counts.tolist())
+        repeat(math.exp(-D * v), c) for v, c in counts.items()
     ))
 
 
@@ -303,4 +294,4 @@ def mertens_sum(x: int, limits: Limits = DEFAULT_LIMITS) -> float:
         raise DomainError(f"x must be >= 3, got {x}")
     if x > limits.mertens_max_x:
         raise ResourceLimit(f"x = {x} exceeds budget {limits.mertens_max_x}")
-    return math.fsum(chain.from_iterable((1.0 / seg).tolist() for seg in _prime_segments(x)))
+    return math.fsum(map(truediv, repeat(1.0), chain.from_iterable(_prime_segments(x))))

@@ -352,6 +352,8 @@ def survival_probability(
         raise DomainError(f"x must be >= 16, got {x}")
     if h < 1 or trials < 1:
         raise DomainError("h and trials must be positive")
+    if not 0 <= seed <= _M64:
+        raise DomainError("seed must fit in 64 bits")
     if x + h > limits.process_max_n:
         raise ResourceLimit(f"x + h exceeds budget {limits.process_max_n}")
     if kind is ProcessKind.SIX_GP and h * h >= x:

@@ -267,8 +267,12 @@ class TestCleanExits:
           "--max-items", "0"], 2),
         (["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "16",
           "--to", "32", "--points", "0"], 2),
+        (["process", "survival", "--kind", "6gp", "--x", "100", "--h", "5", "--trials", "5",
+          "--seed", str(2**64)], 1),
+        (["process", "survival", "--kind", "6gp", "--x", "100", "--h", "5", "--trials", "5",
+          "--seed", "-1"], 1),
     ], ids=["terms-token", "input-token", "input-encoding", "out-dir", "max-items-0",
-            "points-0"])
+            "points-0", "survival-seed-too-big", "survival-seed-negative"])
     def test_bad_input_exits_cleanly(self, capsys, tmp_path, argv, code):
         (tmp_path / "tokens").write_text("1 x 4\n")
         (tmp_path / "latin1").write_bytes(b"1 \xe9 4\n")
@@ -301,8 +305,14 @@ class TestCleanExits:
         (["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "1e6",
           "--to", "1e6", "--points", "1"], False),
         (["syndetic", "search", "--n", "40", "--pairing", "overlapping"], False),
-        (["divisor", "table", "--k", "2", "--start", "0", "--len", "10"], True),
-    ], ids=["gp", "bounds", "syndetic", "divisor"])
+        (["divisor", "table", "--k", "2", "--start", "0", "--len", "10"], False),
+        (["divisor", "sum", "--i", "2", "--j", "3", "--start", "0", "--len", "10", "--D", "0.5"],
+         False),
+        (["divisor", "mertens", "--x", "1000"], False),
+        (["process", "survival", "--kind", "6gp", "--x", "100", "--h", "5", "--trials", "5",
+          "--seed", "1"], True),
+    ], ids=["gp", "bounds", "syndetic", "divisor", "divisor-sum", "divisor-mertens",
+            "process-survival"])
     def test_numpy_loaded_only_where_used(self, argv, loads_numpy):
         probe = ("import sys; from gpfree import cli; code = cli.main(sys.argv[1:]); "
                  "print(code, 'numpy' in sys.modules)")

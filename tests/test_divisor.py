@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -200,6 +201,34 @@ class TestSieve:
         # crosses the segment boundaries of the odd-only generator
         limit = 3 * 2**20 + 5
         assert np.array_equal(divisor.primes_upto(limit), _classic_sieve(limit))
+
+
+def _sha256_of_repr(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+class TestKernelAnchors:
+    """Digests of outputs of the earlier numpy sieve and prime generator.
+
+    Any rewrite of the window sieve or of the prime base must reproduce them
+    bit for bit.
+    """
+
+    def test_cofactor_path_window(self):  # s = 1: cofactors above sqrt(x+h)
+        table = divisor.sieve(divisor.Interval(10**15, 2000), divisor.DivisorSpec.single(1))
+        assert _sha256_of_repr(table.values) == (
+            "72a5739c96c50a02a9ca1acb9bfb976876d7856a23fd9b0e57e439200d5d0faf")
+
+    def test_pair_window(self):
+        table = divisor.sieve(divisor.Interval(10**12, 10**5), divisor.DivisorSpec.pair(3, 1))
+        assert _sha256_of_repr(table.values) == (
+            "70c3cdc8ed479b7c1cc008b2e5ff0b696e6fa8aead4400eba423575cb6485d7d")
+
+    def test_primes_upto_1e6(self):
+        primes = divisor.primes_upto(10**6).tolist()
+        assert len(primes) == 78498
+        assert _sha256_of_repr(primes) == (
+            "e896772a51c956190908057a4923318858086d5e5c088bcb4b954c0172b92b14")
 
 
 class TestSums:

@@ -278,6 +278,12 @@ class TestSurvival:
         with pytest.raises(DomainError):
             process.survival_probability(K6, 10, 2, 10, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # coin_bits would reduce the seed mod 2**64; run() rejects it too
+        with pytest.raises(DomainError, match="seed must fit in 64 bits"):
+            process.survival_probability(K3, 100, 5, 5, seed)
+
     # the event-based estimator must agree with literally running the
     # process and inspecting the window
     def test_matches_full_runs_3gp(self):
