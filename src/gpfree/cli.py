@@ -135,11 +135,14 @@ def cmd_gp_decompose(args):
 
 
 def cmd_gp_contains(args):
+    limits = _load_limits(args.config)
     text = _read_text(args.input)
     try:
         members = sorted({int(tok) for tok in text.split()})
     except ValueError as exc:
         raise GPFreeError(f"bad member in {args.input}: {exc}") from None
+    if members and members[-1] > limits.process_max_n:
+        raise ResourceLimit(f"member {members[-1]} exceeds budget {limits.process_max_n}")
     mode = gpcore.INTEGER if args.mode == "int" else gpcore.RATIONAL
     witness = gpcore.contains_gp(members, args.k, mode)
     return {"witness": _gp_payload(witness) if witness else None}
@@ -209,9 +212,18 @@ def cmd_process_run(args):
     return doc
 
 
+def _load_run(args):
+    from . import process
+    limits = _load_limits(args.config)
+    run_ = process.run_from_json(_read_text(args.infile))
+    if run_.config.n > limits.process_max_n:
+        raise ResourceLimit(f"run horizon {run_.config.n} exceeds budget {limits.process_max_n}")
+    return run_
+
+
 def cmd_process_gaps(args):
     from . import process
-    rep = process.gap_report(process.run_from_json(_read_text(args.infile)), args.epsilon)
+    rep = process.gap_report(_load_run(args), args.epsilon)
     return {
         "epsilon": rep.epsilon,
         "max_gap": rep.max_gap,
@@ -224,7 +236,7 @@ def cmd_process_gaps(args):
 
 def cmd_process_verify(args):
     from . import process
-    witness = process.verify_free(process.run_from_json(_read_text(args.infile)))
+    witness = process.verify_free(_load_run(args))
     return {"free": witness is None,
             "witness": _gp_payload(witness) if witness else None}
 
@@ -276,12 +288,11 @@ def cmd_syndetic_export(args):
 def cmd_bounds_envelope(args):
     if args.points < 1:
         raise UsageError(f"--points must be at least 1, got {args.points}")
-    if args.points == 1:
-        xs = [float(args.x0)]
-    else:
-        # geometric grid from x0 to x1 inclusive
-        ratio = (args.x1 / args.x0) ** (1.0 / (args.points - 1))
-        xs = [args.x0 * ratio**p for p in range(args.points)]
+    bounds._check_x(args.x0)  # both ends first: an end <= 0 breaks the ratio
+    bounds._check_x(args.x1)
+    # geometric grid from x0 to x1 inclusive
+    ratio = (args.x1 / args.x0) ** (1.0 / max(args.points - 1, 1))
+    xs = [args.x0 * ratio**p for p in range(args.points)]
     rows = [[x, bounds.gap_envelope(x, args.epsilon, args.c_eps)] for x in xs]
     return {
         "C_2_3": bounds.C_2_3,
@@ -413,8 +424,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = argv
-    if not hasattr(args, "config"):
-        args.config = None
     t0 = time.perf_counter()
     try:
         if getattr(args, "workers", 1) is None:

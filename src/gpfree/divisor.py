@@ -187,9 +187,6 @@ class Interval:
         if self.x + self.h > 2**63 - 1:
             raise DomainError("interval end exceeds supported width")
 
-    def values(self) -> range:
-        return range(self.x + 1, self.x + self.h + 1)
-
 
 @dataclass(frozen=True)
 class DivisorTable:

@@ -3,7 +3,9 @@
 A nontrivial k-term GP with rational ratio c/b > 1 (gcd(b,c)=1) is stored as
 (k, a, b, c) with term i equal to a*b**(k-1-i)*c**i.  The lowest-terms
 convention makes the representation unique, so enumeration never
-double-counts.
+double-counts.  This module is the one walk over these classes: `_classes`
+forward by the weight b**eb * c**ec of one position, `_cofactors` backward
+over the divisors of a given term.  3-GPs are plain (x, y, z) int tuples.
 """
 
 from __future__ import annotations
@@ -37,13 +39,8 @@ class KGeoProgression:
             raise DomainError(f"need b < c for ratio > 1, got b={self.b}, c={self.c}")
         if gcd(self.b, self.c) != 1:
             raise DomainError(f"ratio {self.c}/{self.b} not in lowest terms")
-        if self.a * self.c ** (self.k - 1) > MAX_TERM:
+        if self.k > 64 or self.a * self.c ** (self.k - 1) > MAX_TERM:  # k > 64: c**(k-1) >= 2**64
             raise DomainError("largest term exceeds 64 bits")
-
-    @property
-    def ratio(self) -> tuple[int, int]:
-        """(numerator, denominator) of the common ratio."""
-        return self.c, self.b
 
     def terms(self) -> list[int]:
         k, a, b, c = self.k, self.a, self.b, self.c
@@ -53,24 +50,6 @@ class KGeoProgression:
         if not 0 <= position < self.k:
             raise DomainError(f"position {position} out of range for k={self.k}")
         return self.a * self.b ** (self.k - 1 - position) * self.c**position
-
-
-@dataclass(frozen=True)
-class GPTriple:
-    """3-term GP as x < y < z with y**2 == x*z (rational ratio implied)."""
-
-    x: int
-    y: int
-    z: int
-
-    def __post_init__(self):
-        if not 0 < self.x < self.y < self.z:
-            raise DomainError(f"need 0 < x < y < z, got {self}")
-        if self.y * self.y != self.x * self.z:
-            raise DomainError(f"({self.x},{self.y},{self.z}) is not a 3-GP")
-
-    def terms(self) -> list[int]:
-        return [self.x, self.y, self.z]
 
 
 def canonicalize(sequence: Sequence[int]) -> KGeoProgression:
@@ -104,11 +83,54 @@ def canonicalize(sequence: Sequence[int]) -> KGeoProgression:
     return KGeoProgression(k, seq[0] // bk, b, c)
 
 
-def _coprime_to(c: int) -> Iterator[int]:
-    """b in 1..c-1 with gcd(b, c) == 1, ascending."""
-    for b in range(1, c):
-        if gcd(b, c) == 1:
-            yield b
+def _classes(eb: int, ec: int, bound: int, integer: bool = False) -> Iterator[tuple[int, int, int]]:
+    """(b, c, w) for coprime 1 <= b < c with weight w = b**eb * c**ec <= bound.
+
+    The forward walk: ordered by (c, b), with b = 1 only when `integer`.
+    With ec = 0 the weight does not grow with c, so the stream never ends.
+    """
+    if ec >= bound.bit_length():  # 2**ec > bound: no class, and no huge c**ec to build
+        return
+    for c in count(2):
+        wc = c**ec
+        if ec and wc > bound:
+            return
+        for b in range(1, 2 if integer else c):
+            w = b**eb * wc
+            if w > bound:
+                break
+            if gcd(b, c) == 1:
+                yield b, c, w
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of n, ascending."""
+    from .divisor import factorize  # here, so that the gp commands do not import it
+
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+def _cofactors(divs: list[int], eb: int, ec: int, integer: bool = False) -> Iterator[tuple[int, int, int]]:
+    """(a, b, c) with a * b**eb * c**ec == n for coprime 1 <= b < c, ordered by (c, b).
+
+    The backward walk over `divs`, the divisors of n ascending, for ec >= 1: c runs over
+    them, b over those below c if eb >= 1, over 1..c-1 if eb == 0, and is 1 if `integer`.
+    """
+    n = divs[-1]
+    for c in divs[1:]:
+        wc = c**ec
+        if n % wc:
+            continue
+        m = n // wc
+        for b in (1,) if integer else divs if eb else range(1, c):
+            if b >= c:
+                break
+            wb = b**eb
+            if m % wb == 0 and gcd(b, c) == 1:
+                yield m // wb, b, c
 
 
 def enumerate_gps(k: int, position: int, max_term_at_position: int) -> Iterator[KGeoProgression]:
@@ -127,29 +149,10 @@ def enumerate_gps(k: int, position: int, max_term_at_position: int) -> Iterator[
     bound = max_term_at_position
     if bound < 1:
         return
-    if position == 0:
-        for c in count(2):
-            for b in _coprime_to(c):
-                wb = b ** (k - 1)
-                if wb > bound:
-                    break
-                for a in range(1, bound // wb + 1):
-                    yield KGeoProgression(k, a, b, c)
-        return
-
-    eb, ec = k - 1 - position, position
-    found: list[KGeoProgression] = []
-    for c in count(2):
-        if c**ec > bound:
-            break
-        for b in _coprime_to(c):
-            w = b**eb * c**ec
-            if w > bound:
-                break
-            for a in range(1, bound // w + 1):
-                found.append(KGeoProgression(k, a, b, c))
-    found.sort(key=lambda gp: gp.terms())
-    yield from found
+    gps = (KGeoProgression(k, a, b, c)
+           for b, c, w in _classes(k - 1 - position, position, bound)
+           for a in range(1, bound // w + 1))
+    yield from gps if position == 0 else sorted(gps, key=KGeoProgression.terms)
 
 
 def find_gps_with_term_at(n: int, k: int, position: int) -> list[KGeoProgression]:
@@ -166,23 +169,9 @@ def find_gps_with_term_at(n: int, k: int, position: int) -> list[KGeoProgression
         raise DomainError(f"position {position} out of range for k={k}")
     if position == 0:
         raise DomainError("position 0 fixes only a*b**(k-1); infinitely many GPs")
-    eb, ec = k - 1 - position, position
-    out: list[KGeoProgression] = []
-    for c in count(2):
-        wc = c**ec
-        if wc > n:
-            break
-        if n % wc:
-            continue
-        m = n // wc
-        for b in _coprime_to(c):
-            wb = b**eb
-            if wb > m:
-                break
-            if m % wb == 0:
-                out.append(KGeoProgression(k, m // wb, b, c))
-    out.sort(key=lambda gp: gp.terms())
-    return out
+    gps = (KGeoProgression(k, a, b, c)
+           for a, b, c in _cofactors(_divisors(n), k - 1 - position, position))
+    return sorted(gps, key=KGeoProgression.terms)
 
 
 def contains_gp(
@@ -202,36 +191,20 @@ def contains_gp(
         return None
     present = set(members)
     top = max(present)
-    for c in count(2):
-        wc = c ** (k - 1)
-        if wc > top:
-            break
-        bs = (1,) if mode == INTEGER else tuple(_coprime_to(c))
-        for b in bs:
-            wb = b ** (k - 1)
-            for a in range(1, top // wc + 1):
-                if a * wb not in present:
-                    continue
-                if a * wc not in present:
-                    continue
+    for b, c, wc in _classes(0, k - 1, top, mode == INTEGER):
+        wb = b ** (k - 1)
+        for a in range(1, top // wc + 1):
+            if a * wb in present and a * wc in present:
                 gp = KGeoProgression(k, a, b, c)
                 if all(t in present for t in gp.terms()):
                     return gp
     return None
 
 
-def enumerate_3gp_triples(n: int) -> list[GPTriple]:
-    """All x < y < z <= n with y**2 == x*z, lexicographically sorted."""
+def enumerate_3gp_triples(n: int) -> list[tuple[int, int, int]]:
+    """All (x, y, z) with x < y < z <= n and y**2 == x*z, lexicographically sorted."""
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    out: list[GPTriple] = []
-    c = 2
-    while c * c <= n:
-        cc = c * c
-        for b in _coprime_to(c):
-            bb = b * b
-            for a in range(1, n // cc + 1):
-                out.append(GPTriple(a * bb, a * b * c, a * cc))
-        c += 1
-    out.sort(key=lambda t: (t.x, t.y, t.z))
-    return out
+    return sorted((a * b * b, a * b * c, a * c * c)
+                  for b, c, w in _classes(0, 2, n)
+                  for a in range(1, n // w + 1))

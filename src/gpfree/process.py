@@ -14,11 +14,12 @@ already-enumerated progression.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, isqrt
+from math import isqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +30,8 @@ from .gpcore import (
     INTEGER,
     RATIONAL,
     KGeoProgression,
+    _cofactors,
+    _divisors,
     contains_gp,
     find_gps_with_term_at,  # noqa: F401  perfbench/layers.py rebinds it in this module
 )
@@ -270,7 +273,14 @@ def gap_report(run_: ProcessRun, epsilon: float) -> GapReport:
     near = np.flatnonzero(ratio >= ratio.max() * (1 - _NEAR))
     fitted = max(gi / gap_envelope(ti, epsilon, 1.0)
                  for ti, gi in zip(t[near].tolist(), g[near].tolist()))
-    gaps = tuple(zip(t.tolist(), g.tolist()))
+    # one acyclic tuple per gap: cyclic GC passes over the build would only cost time
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gaps = tuple(zip(t.tolist(), g.tolist()))
+    finally:
+        if enabled:
+            gc.enable()
     return GapReport(epsilon, gaps, int(g.max()), fitted)
 
 
@@ -293,38 +303,22 @@ class SurvivalEstimate:
 def _removal_events(kind: ProcessKind, n: int) -> list[tuple[tuple[int, int, int, int], float, bool]]:
     """Events that would remove n: (coin key, threshold, fires-when-below).
 
-    Read off `_FAMILY`, the table `run` walks: n is the smaller removable
-    term a*b^sb*c^sc, or the larger one a*b^lb*c^lc, of the progression
-    (k, a, b, c) exactly when that weight divides n, for coprime b < c among
-    the divisors of n (b = 1 for the integer-ratio family).  The threshold is
-    1/2 for the fair coin and p(larger) for a biased one, and the event fires
-    below it exactly when "n is the smaller term" differs from "the coin is
-    biased".  n is removed in a trial iff some event's coin falls on its
-    firing side.  Equivalent to running the full truncated process, since any
-    progression able to remove n has its smaller removable term <= n.
+    Read off `_FAMILY`, the table `run` walks: gpcore's backward walk finds
+    each (k, a, b, c) whose smaller removable term a*b^sb*c^sc, or larger one
+    a*b^lb*c^lc, is n.  The threshold is 1/2 for the fair coin and p(larger)
+    for a biased one, and the event fires below it exactly when "n is the
+    smaller term" differs from "the coin is biased".  n is removed in a trial
+    iff some event's coin falls on its firing side.  Equivalent to running
+    the full truncated process, since any progression able to remove n has
+    its smaller removable term <= n.
     """
-    from .divisor import factorize  # here, so that `process run` does not import it
-
     k, mode, smaller, larger, biased = _FAMILY[kind]
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    divs.sort()
-    bs = divs if mode == RATIONAL else [1]
+    divs = _divisors(n)
     events = []
     for is_smaller, (eb, ec) in ((True, smaller), (False, larger)):
-        for c in divs[1:]:
-            if n % c**ec:
-                continue
-            for b in bs:
-                if b >= c:
-                    break
-                w = b**eb * c**ec
-                if n % w or gcd(b, c) != 1:
-                    continue
-                a = n // w
-                thr = p_default(a * b ** larger[0] * c ** larger[1]) if biased else 0.5
-                events.append(((k, a, b, c), thr, is_smaller != biased))
+        for a, b, c in _cofactors(divs, eb, ec, mode == INTEGER):
+            thr = p_default(a * b ** larger[0] * c ** larger[1]) if biased else 0.5
+            events.append(((k, a, b, c), thr, is_smaller != biased))
     return events
 
 

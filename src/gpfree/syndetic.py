@@ -4,8 +4,9 @@ A selection picks at least one integer from every pair of consecutive
 integers: disjoint pairing uses the pairs {2i-1, 2i} (and by monotonicity of
 triple-hitting, exactly-one selections decide the at-least-one question too);
 overlapping pairing uses every {i, i+1}, the reading under which gaps never
-exceed one skipped integer.  The search decides whether some selection avoids
-every triple x < y < z <= N with y**2 == x*z, returning an explicit
+exceed one skipped integer.  The instance holds every triple x < y < z <= N
+with y**2 == x*z once, as gpcore's plain (x, y, z) int tuples.  The search
+decides whether some selection avoids them all, returning an explicit
 counterexample selection or an exhaustion certificate with statistics.
 
 The engine is a DPLL-style backtracker over the pairs in ascending order,
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import DomainError, MalformedSelection
-from .gpcore import GPTriple, enumerate_3gp_triples
+from .gpcore import enumerate_3gp_triples
 from .limits import DEFAULT_LIMITS, Limits
 
 DISJOINT = "disjoint"
@@ -45,7 +46,7 @@ class SearchInstance:
     n: int
     pairing: str
     pairs: tuple[tuple[int, int], ...]
-    triples: tuple[GPTriple, ...]
+    triples: tuple[tuple[int, int, int], ...]  # (x, y, z), x < y < z, y*y == x*z
     member: tuple[tuple[int, ...], ...]  # member[e] = indices of triples containing e
 
 
@@ -74,7 +75,7 @@ def build_instance(n: int, pairing: str = DISJOINT) -> SearchInstance:
     triples = tuple(enumerate_3gp_triples(n))
     member: list[list[int]] = [[] for _ in range(n + 1)]
     for t, tr in enumerate(triples):
-        for e in (tr.x, tr.y, tr.z):
+        for e in tr:
             member[e].append(t)
     if pairing == DISJOINT:
         pairs = tuple((2 * i - 1, 2 * i) for i in range(1, n // 2 + 1))
@@ -83,8 +84,8 @@ def build_instance(n: int, pairing: str = DISJOINT) -> SearchInstance:
     return SearchInstance(n, pairing, pairs, triples, tuple(tuple(m) for m in member))
 
 
-def verify_selection(instance: SearchInstance, selection: Sequence[int]) -> Optional[GPTriple]:
-    """Certificate check, independent of the search engine."""
+def verify_selection(instance: SearchInstance, selection: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """Certificate check, independent of the search engine: a contained triple, or None."""
     chosen = set(selection)
     if not chosen <= set(range(1, instance.n + 1)):
         raise MalformedSelection("selection contains integers outside [1, N]")
@@ -116,8 +117,8 @@ def export_dimacs(instance: SearchInstance) -> str:
     ]
     for e1, e2 in instance.pairs:
         lines.append(f"{e1} {e2} 0")
-    for tr in instance.triples:
-        lines.append(f"-{tr.x} -{tr.y} -{tr.z} 0")
+    for x, y, z in instance.triples:
+        lines.append(f"-{x} -{y} -{z} 0")
     return "\n".join(lines) + "\n"
 
 
@@ -158,8 +159,6 @@ class _Engine:
         self.tcount = [0] * len(instance.triples)
         self.trail: list[int] = []  # signed: +e set IN, -e set OUT
         self.stats = SearchStats()
-        # triple elements as flat tuples for quick scanning
-        self.telems = [(tr.x, tr.y, tr.z) for tr in instance.triples]
 
     # -- propagation ---------------------------------------------------------
 
@@ -187,7 +186,7 @@ class _Engine:
             return False
         for t in member:
             if tcount[t] == 2:
-                x, y, z = self.telems[t]
+                x, y, z = self.inst.triples[t]
                 third = x if state[x] != _IN else (y if state[y] != _IN else z)
                 if state[third] == _UNDEC:
                     queue.append(-third)

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gpfree import cli, process
+from gpfree import cli, gpcore, process
 from test_process import full_run_empties
 
 
@@ -271,8 +275,13 @@ class TestCleanExits:
           "--seed", str(2**64)], 1),
         (["process", "survival", "--kind", "6gp", "--x", "100", "--h", "5", "--trials", "5",
           "--seed", "-1"], 1),
+        (["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "-16",
+          "--to", "16", "--points", "3"], 1),
+        (["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "0",
+          "--to", "16", "--points", "3"], 1),
     ], ids=["terms-token", "input-token", "input-encoding", "out-dir", "max-items-0",
-            "points-0", "survival-seed-too-big", "survival-seed-negative"])
+            "points-0", "survival-seed-too-big", "survival-seed-negative",
+            "grid-negative-end", "grid-zero-end"])
     def test_bad_input_exits_cleanly(self, capsys, tmp_path, argv, code):
         (tmp_path / "tokens").write_text("1 x 4\n")
         (tmp_path / "latin1").write_bytes(b"1 \xe9 4\n")
@@ -280,6 +289,24 @@ class TestCleanExits:
         assert cli.main([a.format(**paths) for a in argv]) == code
         prefix = "usage error: " if code == 2 else "error: "
         assert self._err_line(capsys).startswith(prefix)
+
+    @pytest.mark.parametrize("argv", [
+        ["process", "verify", "--in", "{huge_run}"],
+        ["process", "gaps", "--in", "{huge_run}", "--epsilon", "0.5"],
+        ["process", "verify", "--in", "{run}", "--config", "{tiny}"],
+        ["gp", "contains", "--k", "3", "--input", "{huge_members}"],
+        ["gp", "contains", "--k", "3", "--input", "{members}", "--config", "{tiny}"],
+    ], ids=["verify", "gaps", "verify-config", "contains", "contains-config"])
+    def test_input_above_budget_exit_3(self, capsys, tmp_path, monkeypatch, argv):
+        paths = _fuzz_files(tmp_path)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started on an input above the budget")
+        for name in ("verify_free", "gap_report", "_alive"):
+            monkeypatch.setattr(process, name, must_not_run)
+        monkeypatch.setattr(gpcore, "contains_gp", must_not_run)
+        assert cli.main([a.format(**paths) for a in argv]) == 3
+        assert self._err_line(capsys).startswith("resource limit: ")
 
     def test_unwritable_out_found_before_run(self, capsys, tmp_path, monkeypatch):
         from gpfree import process
@@ -341,3 +368,126 @@ class TestCleanExits:
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+
+
+def _fuzz_files(root):
+    """Input files for the CLI, good and bad, written under `root`."""
+    def run_doc(n, removed):
+        return json.dumps({"config": {"kind": "6gp", "n": n, "seed": 1}, "removed": removed,
+                           "counts": {"removed": len(removed), "survivors": n - len(removed),
+                                      "dropped_outside": 0}})
+    texts = {
+        "run": process.run_to_json(process.run(process.ProcessConfig(
+            process.ProcessKind.SIX_GP, 200, 1))),
+        "huge_run": run_doc(10**13, []),
+        "bad_run": run_doc(100, [5, 3]),
+        "members": "1 2 3 5 8 9 27 200\n",
+        "huge_members": f"1 2 {10**20}\n",
+        "tokens": "1 x 4\n",
+        "config": "process_max_n = 5000\nsearch_node_budget = 50\n",
+        "tiny": "process_max_n = 100\n",
+        "bad_config": "process_max_n = lots\n",
+    }
+    paths = {"missing": str(root / "absent"), "out": str(root / "out.json"),
+             "out_dir": str(root / "absent" / "out.json")}
+    for name, text in texts.items():
+        (root / name).write_text(text)
+        paths[name] = str(root / name)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    return _fuzz_files(tmp_path_factory.mktemp("fuzz"))
+
+
+def _mostly(good, bad):
+    """`good` seven times in eight, so that most drawn commands get past parsing."""
+    return st.integers(0, 7).flatmap(lambda i: good if i else bad)
+
+
+def _ints(lo, hi, huge=True):
+    """Small in-range integers mixed with zero, negative, NaN, non-numeric and huge ones."""
+    bad = ["0", "-1", "-12", "nan", "x"] + [str(10**20)] * huge
+    return _mostly(st.integers(lo, hi).map(str), st.sampled_from(bad))
+
+
+def _floats(lo, hi):
+    return _mostly(st.floats(lo, hi).map(repr),
+                   st.sampled_from(["0", "-1", "-16", "nan", "inf", "-inf", "1e308", "x"]))
+
+
+def _files(*names):
+    return _mostly(st.sampled_from([f"{{{n}}}" for n in names]), st.just("{missing}"))
+
+
+def _argv(words, *options):
+    """`words` then each (flag, values) option; any option may be left out."""
+    drawn = [_mostly(values.map(lambda v, f=flag: [f, v]), st.just([]))
+             for flag, values in options]
+    return st.tuples(*drawn).map(lambda parts: words + [t for p in parts for t in p])
+
+
+_CONFIG = ("--config", _files("config", "tiny", "bad_config"))
+_FORMAT = ("--format", st.sampled_from(["json", "csv", "xml"]))
+_KIND = ("--kind", st.sampled_from(["6gp", "5gp", "3gp-int", "7gp"]))
+_SEED = ("--seed", _ints(0, 2**64 - 1))
+_PAIRING = ("--pairing", st.sampled_from(["disjoint", "overlapping", "none"]))
+_WINDOW = [("--start", _ints(0, 10**6)), ("--len", _ints(1, 1000))]
+
+# Sizes are capped where the CLI has no budget yet (ROADMAP item 6):
+# `syndetic --n`, `gp enumerate --bound` and `--max-items`, `bounds envelope
+# --points` and `process survival --trials` take no huge values.
+_COMMANDS = st.one_of(
+    _argv(["gp", "enumerate"], ("--k", _ints(1, 7)), ("--position", _ints(0, 6)),
+          ("--bound", _ints(1, 1000, huge=False)), ("--max-items", _ints(1, 1000, huge=False)),
+          _FORMAT),
+    _argv(["gp", "decompose"], ("--terms", st.lists(_ints(1, 500), max_size=6).map(",".join))),
+    _argv(["gp", "contains"], ("--k", _ints(1, 7)),
+          ("--mode", st.sampled_from(["rational", "int", "real"])),
+          ("--input", _files("members", "huge_members", "tokens")), _CONFIG),
+    _argv(["divisor", "table"], ("--k", _ints(1, 5)), ("--i", _ints(1, 4)), ("--j", _ints(1, 4)),
+          *_WINDOW, _CONFIG, _FORMAT),
+    _argv(["divisor", "sum"], ("--i", _ints(1, 4)), ("--j", _ints(1, 4)), *_WINDOW,
+          ("--D", _floats(0, 2)), _CONFIG),
+    _argv(["divisor", "mertens"], ("--x", _ints(1, 10**5)), _CONFIG),
+    _argv(["process", "run"], _KIND, ("--n", _ints(1, 2000)), _SEED,
+          ("--out", _files("out", "out_dir")), ("--workers", _ints(1, 4)), _CONFIG),
+    _argv(["process", "gaps"], ("--in", _files("run", "huge_run", "bad_run", "members")),
+          ("--epsilon", _floats(0.01, 5)), _CONFIG),
+    _argv(["process", "verify"], ("--in", _files("run", "huge_run", "bad_run", "members")),
+          _CONFIG),
+    _argv(["process", "survival"], _KIND, ("--x", _ints(1, 10**4)), ("--h", _ints(1, 1000)),
+          ("--trials", _ints(1, 20, huge=False)), _SEED, _CONFIG),
+    _argv(["syndetic", "search"], ("--n", _ints(1, 2000, huge=False)), _PAIRING,
+          ("--budget", _ints(1, 1000)), ("--workers", _ints(1, 4)), _CONFIG),
+    _argv(["syndetic", "export"], ("--n", _ints(1, 2000, huge=False)), _PAIRING),
+    _argv(["bounds", "envelope"], ("--epsilon", _floats(0.01, 5)), ("--c-eps", _floats(0.01, 5)),
+          ("--from", _floats(16, 1e6)), ("--to", _floats(16, 1e6)),
+          ("--points", _ints(1, 50, huge=False)), _FORMAT),
+)
+
+
+class TestCliFuzz:
+    @given(argv=_COMMANDS)
+    @example(argv=["process", "verify", "--in", "{huge_run}"])
+    @example(argv=["process", "gaps", "--in", "{huge_run}", "--epsilon", "0.5"])
+    @example(argv=["gp", "contains", "--k", "3", "--input", "{huge_members}"])
+    @example(argv=["gp", "enumerate", "--k", str(10**20), "--position", "1", "--bound", "10"])
+    @example(argv=["gp", "enumerate", "--k", str(10**20), "--position", str(10**20 - 1),
+                   "--bound", "10"])
+    @example(argv=["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "-16",
+                   "--to", "16", "--points", "3"])
+    @example(argv=["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "0",
+                   "--to", "16", "--points", "3"])
+    @settings(max_examples=800, deadline=None)
+    def test_exit_code_and_nothing_else(self, fuzz_files, argv):
+        argv = [a.format(**fuzz_files) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: usage errors
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv

@@ -1,4 +1,5 @@
 import itertools
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -119,15 +120,16 @@ class TestFindAtPosition:
             gpcore.find_gps_with_term_at(8, 3, 0)
 
     def test_exhaustive_against_enumerate(self):
-        # every GP with middle term exactly n appears in both listings
-        n = 48
-        via_enum = {
-            (g.a, g.b, g.c)
-            for g in gpcore.enumerate_gps(6, 2, n)
-            if g.term_at(2) == n
-        }
-        via_find = {(g.a, g.b, g.c) for g in gpcore.find_gps_with_term_at(n, 6, 2)}
-        assert via_enum == via_find
+        # the backward walk lists, in the same order, the forward walk's GPs
+        # whose term at the position is n, for every n below the bound
+        bound = 1499
+        for k in range(3, 7):
+            for pos in range(1, k):
+                by_term = defaultdict(list)
+                for g in gpcore.enumerate_gps(k, pos, bound):
+                    by_term[g.term_at(pos)].append(g)
+                for n in range(1, bound + 1):
+                    assert gpcore.find_gps_with_term_at(n, k, pos) == by_term[n], (k, pos, n)
 
 
 class TestContains:
@@ -157,13 +159,11 @@ class TestContains:
 
 class TestTripleEnumeration:
     def test_small(self):
-        got = [(t.x, t.y, t.z) for t in gpcore.enumerate_3gp_triples(10)]
-        assert got == [(1, 2, 4), (1, 3, 9), (2, 4, 8), (4, 6, 9)]
+        assert gpcore.enumerate_3gp_triples(10) == [(1, 2, 4), (1, 3, 9), (2, 4, 8), (4, 6, 9)]
 
     def test_tiny_empty(self):
         assert gpcore.enumerate_3gp_triples(3) == []
 
     @pytest.mark.parametrize("n", [25, 80, 200])
     def test_matches_pair_scan_oracle(self, n):
-        got = sorted((t.x, t.y, t.z) for t in gpcore.enumerate_3gp_triples(n))
-        assert got == brute_3gp_triples(n)
+        assert gpcore.enumerate_3gp_triples(n) == brute_3gp_triples(n)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -257,6 +259,16 @@ class TestGapReport:
         with pytest.raises(TooFewSurvivors):
             process.gap_report(self._fake_run(20, {17}), 0.5)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored(self, enabled):
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            process.gap_report(self._fake_run(40, {16, 18, 25, 33}), 0.5)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
 
 class TestSurvival:
     def test_6gp_wide_window_rejected(self):
@@ -314,12 +326,15 @@ class TestSurvival:
 
     @pytest.mark.parametrize("kind,k,positions", [(K6, 6, (2, 3)), (K5, 5, (1, 2)), (K3, 3, (1, 2))])
     def test_event_keys_are_the_progressions_through_n(self, kind, k, positions):
-        # gpcore enumerates the canonical k-GPs with n at a removable position
+        # the forward walk's canonical k-GPs with n at a removable position
+        want = defaultdict(list)
+        for pos in positions:
+            for gp in gpcore.enumerate_gps(k, pos, 1499):
+                if kind is not K3 or gp.b == 1:
+                    want[gp.term_at(pos)].append((k, gp.a, gp.b, gp.c))
         for n in range(16, 1500):
-            want = sorted((k, gp.a, gp.b, gp.c) for pos in positions
-                          for gp in gpcore.find_gps_with_term_at(n, k, pos)
-                          if kind is not K3 or gp.b == 1)
-            assert sorted(key for key, _, _ in process._removal_events(kind, n)) == want, n
+            got = sorted(key for key, _, _ in process._removal_events(kind, n))
+            assert got == sorted(want[n]), n
 
     def test_events_built_once_and_only_when_reached(self, monkeypatch):
         calls = []
