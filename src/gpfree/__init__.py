@@ -8,8 +8,9 @@ Subpackages:
   syndetic  exhaustive pair-selection search on [1, N]
   cli       command-line front end
 
-Import a module to use it (`from gpfree import process`); only process loads
-numpy.
+Import a module to use it (`from gpfree import process`).  Only the vector
+kernel of process.run (and process's bitmap helpers) loads numpy; importing
+process does not.
 """
 
 __version__ = "0.1.0"

@@ -15,8 +15,10 @@ either command, which both run serially.  A --config FILE of key=value lines
 may preset the resource budgets of gpfree.limits.Limits.  A file that cannot
 be read or written exits 1.
 
-Only the `process` commands import numpy, inside the command, so their
-`elapsed_ms` includes that import; the payload is unchanged.
+Only `process run` imports numpy, inside the command, so its `elapsed_ms`
+includes that import; the payload is unchanged.  Long lists in a payload
+(`rows`, `values`) are written a fixed-size chunk at a time, in JSON and CSV,
+with the same text a one-shot dump would give.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain, islice
 
 from . import __version__, bounds, gpcore, syndetic
 from .errors import GPFreeError, ResourceLimit
@@ -86,24 +89,41 @@ def _load_limits(path: str | None) -> Limits:
     return DEFAULT_LIMITS.with_overrides(**overrides)
 
 
+_ROWS_CHUNK = 1 << 14  # list items per write: no command holds a long list's whole text
+
+
+def _chunks(items):
+    it = iter(items)
+    while chunk := list(islice(it, _ROWS_CHUNK)):
+        yield chunk
+
+
 def _emit(args, payload: dict, seed=None, elapsed_ms: float = 0.0) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "csv" and "rows" in payload:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(payload["columns"])
-        writer.writerows(payload["rows"])
-        sys.stdout.write(buf.getvalue())
+        for chunk in chain([[payload["columns"]]], _chunks(payload["rows"])):
+            buf = io.StringIO()
+            csv.writer(buf).writerows(chunk)
+            sys.stdout.write(buf.getvalue())
         return
+    # "rows" and "values" go out a chunk at a time where their stand-ins fall in the
+    # text: the last NULs in it, as only the command line comes before the payload
+    lists = sorted(key for key in ("rows", "values") if key in payload)
     envelope = {
         "version": __version__,
         "command": args._argv,
         "seed": seed,
-        "payload": payload,
+        "payload": {**payload, **dict.fromkeys(lists, "\0")},
         "elapsed_ms": round(elapsed_ms, 3),
     }
     # json.dumps uses the C encoder; json.dump would stream through the Python one
-    sys.stdout.write(json.dumps(envelope, sort_keys=True))
+    head, *tails = json.dumps(envelope, sort_keys=True).rsplit(json.dumps("\0"), len(lists))
+    sys.stdout.write(head)
+    for key, tail in zip(lists, tails):
+        sys.stdout.write("[")
+        for i, chunk in enumerate(_chunks(payload[key])):  # flat rows: no cycle to look for
+            sys.stdout.write((", " if i else "") + json.dumps(chunk, check_circular=False)[1:-1])
+        sys.stdout.write("]" + tail)
     sys.stdout.write("\n")
 
 
@@ -157,13 +177,12 @@ def cmd_divisor_table(args):
     spec = (divisor.DivisorSpec.single(args.k) if args.k is not None
             else divisor.DivisorSpec.pair(args.i, args.j))
     table = divisor.sieve(divisor.Interval(args.start, args.len), spec, limits)
-    rows = list(table.rows())
     return {
         "interval": {"x": args.start, "h": args.len},
         "spec": table.spec.label(),
         "columns": ["n", "value"],
-        "rows": rows,
-        "values": [v for _, v in rows],
+        "rows": table.rows(),  # streamed by _emit
+        "values": table.values,
     }
 
 
@@ -228,9 +247,9 @@ def cmd_process_gaps(args):
         "epsilon": rep.epsilon,
         "max_gap": rep.max_gap,
         "fitted_c_eps": rep.fitted_c_eps,
-        "gap_count": len(rep.gaps),
+        "gap_count": len(rep.lengths),
         "columns": ["t", "gap"],
-        "rows": rep.gaps,  # (t, gap) tuples; JSON writes them as arrays
+        "rows": zip(rep.survivors, rep.lengths),  # streamed by _emit
     }
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import DomainError, NotAGeometricProgression, TrivialProgression
 
@@ -190,13 +190,17 @@ def contains_gp(
     if len(members) < k:
         return None
     present = set(members)
-    top = max(present)
+    return _first_gp(present.__contains__, max(present), k, mode)
+
+
+def _first_gp(member: Callable[[int], object], top: int, k: int, mode: str) -> Optional[KGeoProgression]:
+    """contains_gp's search: `member(t)` is true exactly for the members t <= top."""
     for b, c, wc in _classes(0, k - 1, top, mode == INTEGER):
         wb = b ** (k - 1)
         for a in range(1, top // wc + 1):
-            if a * wb in present and a * wc in present:
+            if member(a * wb) and member(a * wc):
                 gp = KGeoProgression(k, a, b, c)
-                if all(t in present for t in gp.terms()):
+                if all(member(t) for t in gp.terms()):
                     return gp
     return None
 

@@ -10,21 +10,25 @@ Coins are a pure 64-bit hash of (seed, k, a, b, c) rather than draws from a
 sequential stream: the result is independent of enumeration order, chunking,
 and worker count, and enlarging N never changes the coin of an
 already-enumerated progression.
+
+Only `run`'s vector kernel and the bitmap helpers import numpy, inside the
+function.  Run files, `verify_free`, `gap_report` and `survival_probability`
+use the standard library alone, on a bytearray survivor mask.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, islice
 from math import isqrt
+from operator import ge, sub
 from typing import Callable, Optional
 
-import numpy as np
-
-from .bounds import C_2_3, gap_envelope, p_default
+from .bounds import gap_envelope, p_default
 from .errors import DomainError, ResourceLimit, TooFewSurvivors
 from .gpcore import (
     INTEGER,
@@ -32,16 +36,15 @@ from .gpcore import (
     KGeoProgression,
     _cofactors,
     _divisors,
-    contains_gp,
-    find_gps_with_term_at,  # noqa: F401  perfbench/layers.py rebinds it in this module
+    _first_gp,
+    contains_gp,  # noqa: F401  perfbench/layers.py rebinds these two in this module
+    find_gps_with_term_at,  # noqa: F401
 )
 from .limits import DEFAULT_LIMITS, Limits
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV53 = 2.0**-53
-_G, _FM1, _FM2 = (np.uint64(v) for v in (_GOLDEN, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53))
-_S33, _S11 = np.uint64(33), np.uint64(11)
 
 
 def _mix64(z: int) -> int:
@@ -101,14 +104,16 @@ class ProcessRun:
         return frozenset(self.removed)
 
     def survivors(self) -> list[int]:
-        return np.flatnonzero(_alive(self)).tolist()
+        alive = _alive(self)
+        return list(compress(range(len(alive)), alive))
 
 
-def _alive(run_: ProcessRun) -> np.ndarray:
-    """Mask over 0..n: True at the survivors (index 0 is never alive)."""
-    mask = np.ones(run_.config.n + 1, dtype=bool)
-    mask[0] = False
-    mask[np.array(run_.removed, dtype=np.int64)] = False
+def _alive(run_: ProcessRun) -> bytearray:
+    """Mask over 0..n: 1 at the survivors (index 0 is never alive)."""
+    mask = bytearray(b"\1") * (run_.config.n + 1)
+    mask[0] = 0
+    for t in run_.removed:
+        mask[t] = 0
     return mask
 
 
@@ -119,22 +124,19 @@ _CHUNK = 1 << 16  # classes or progressions per array pass; bounds memory
 _NEAR = 1e-9      # coins this close to a log threshold are re-decided by math.log
 
 
-def _fmix(z: np.ndarray) -> np.ndarray:
-    """_mix64 on a uint64 array, in place."""
-    z ^= z >> _S33
-    z *= _FM1
-    z ^= z >> _S33
-    z *= _FM2
-    z ^= z >> _S33
-    return z
-
-
 def _coin_array(seed: int, k: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Vector coin(): (coin_bits(seed, k, a, b, c) >> 11) * 2**-53, elementwise."""
+    import numpy as np
+    s33, golden, fm1, fm2 = (np.uint64(v) for v in (
+        33, _GOLDEN, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53))
     h = np.uint64(_mix64((seed & _M64) ^ ((k * _GOLDEN) & _M64)))
     for v in (a, b, c):
-        h = _fmix(h ^ v.astype(np.uint64) * _G)
-    return (h >> _S11).astype(np.float64) * _INV53
+        h = h ^ v.astype(np.uint64) * golden
+        for m in (fm1, fm2):  # _mix64, in place
+            h ^= h >> s33
+            h *= m
+        h ^= h >> s33
+    return (h >> np.uint64(11)).astype(np.float64) * _INV53
 
 
 # kind -> (k, ratio mode, exponents (eb, ec) of the smaller removable term
@@ -154,6 +156,7 @@ def _class_blocks(kind: ProcessKind, n: int):
     Classes are coprime b < c (b = 1, c = r for the integer-ratio family),
     yielded in blocks of at most _CHUNK.
     """
+    import numpy as np
     sb, sc = _FAMILY[kind][2]
     b = 1
     while b**sb * (b + 1) ** sc <= n:
@@ -171,6 +174,7 @@ def _class_blocks(kind: ProcessKind, n: int):
 def _progressions(counts: np.ndarray):
     """(a, i) arrays of the progressions a = 1 .. counts[i] of every class i,
     at most _CHUNK at a time."""
+    import numpy as np
     ends = np.cumsum(counts)
     total = int(ends[-1])
     for first in range(0, total, _CHUNK):
@@ -186,6 +190,7 @@ def _progressions(counts: np.ndarray):
 
 def _below_p(u, larger: np.ndarray) -> np.ndarray:
     """u < 1 - 1/log(larger + 2) elementwise, decided exactly as math.log does."""
+    import numpy as np
     thr = 1.0 - 1.0 / np.log(larger + 2.0)
     below = u < thr
     near = np.flatnonzero(np.abs(u - thr) <= _NEAR)
@@ -209,6 +214,7 @@ def run(
     replaces the hashed coins: it gets (seed, k, a, b, c) with array a, b, c
     and returns coins in [0, 1), an array or one scalar for all.
     """
+    import numpy as np
     cap = min(limits.process_max_n, 3 * 10**9)  # terms are <= n**2 and must fit int64
     if config.n > cap:
         raise ResourceLimit(f"horizon {config.n} exceeds budget {cap}")
@@ -235,10 +241,9 @@ def run(
 def verify_free(run_: ProcessRun) -> Optional[KGeoProgression]:
     """Witness GP of the kind's target family among the survivors, if any."""
     k, mode = _FAMILY[run_.config.kind][:2]
-    survivors = run_.survivors()
-    if len(survivors) < k:
+    if run_.config.n - len(run_.removed) < k:
         return None
-    return contains_gp(survivors, k, mode)
+    return _first_gp(_alive(run_).__getitem__, run_.config.n, k, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +252,15 @@ def verify_free(run_: ProcessRun) -> Optional[KGeoProgression]:
 @dataclass(frozen=True)
 class GapReport:
     epsilon: float
-    gaps: tuple[tuple[int, int], ...]  # (t_i, t_{i+1} - t_i) for t_i >= 16
+    survivors: array  # the survivors t >= 16, ascending, as array("q")
+    lengths: list[int]  # lengths[i] = survivors[i + 1] - survivors[i]
     max_gap: int
     fitted_c_eps: float
+
+    @property
+    def gaps(self) -> tuple[tuple[int, int], ...]:
+        """(t_i, t_{i+1} - t_i) for t_i >= 16."""
+        return tuple(zip(self.survivors, self.lengths))
 
 
 def gap_report(run_: ProcessRun, epsilon: float) -> GapReport:
@@ -261,27 +272,16 @@ def gap_report(run_: ProcessRun, epsilon: float) -> GapReport:
     if not 0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     alive = _alive(run_)
-    alive[:16] = False
-    t = np.flatnonzero(alive)
-    if t.size < 2:
+    alive[:16] = bytes(16)
+    t = array("q", compress(range(len(alive)), alive))
+    if len(t) < 2:
         raise TooFewSurvivors("need at least two survivors >= 16")
-    t, g = t[:-1], np.diff(t)
-    lx = np.log(t)
-    ratio = g / np.exp((C_2_3 + epsilon) * lx / np.log(lx))
-    # the array envelope may differ from gap_envelope in the last bits, so
-    # the maximum is taken over scalar values at every near-maximal point
-    near = np.flatnonzero(ratio >= ratio.max() * (1 - _NEAR))
-    fitted = max(gi / gap_envelope(ti, epsilon, 1.0)
-                 for ti, gi in zip(t[near].tolist(), g[near].tolist()))
-    # one acyclic tuple per gap: cyclic GC passes over the build would only cost time
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        gaps = tuple(zip(t.tolist(), g.tolist()))
-    finally:
-        if enabled:
-            gc.enable()
-    return GapReport(epsilon, gaps, int(g.max()), fitted)
+    g = list(map(sub, islice(t, 1, None), t))
+    # gap_envelope grows strictly in t >= 16, by far more than its rounding up to
+    # process_max_n, so each gap value's ratio is largest where it first occurs
+    first = {gi: t[g.index(gi)] for gi in set(g)}
+    fitted = max(gi / gap_envelope(ti, epsilon, 1.0) for gi, ti in first.items())
+    return GapReport(epsilon, t, g, max(first), fitted)
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +411,17 @@ def run_from_dict(d: dict) -> ProcessRun:
         cfg = ProcessConfig(ProcessKind(d["config"]["kind"]), d["config"]["n"], d["config"]["seed"])
         removed, counts = d["removed"], d["counts"]
         dropped = counts["dropped_outside"]
-        arr = np.array(removed)
         ok = (
             type(cfg.n) is int and type(cfg.seed) is int and type(removed) is list
-            and arr.ndim == 1 and (arr.size == 0 or arr.dtype.kind == "i")
+            and {int}.issuperset(map(type, removed))  # no bool, float or nested list
             and type(dropped) is int and dropped >= 0
-            and counts["removed"] == arr.size and counts["survivors"] == cfg.n - arr.size
+            and counts["removed"] == len(removed) and counts["survivors"] == cfg.n - len(removed)
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed run file: {exc!r}") from None
     if not ok:
         raise DomainError("malformed run file: bad removed list or counts")
-    if arr.size and (arr[0] < 1 or arr[-1] > cfg.n or np.any(arr[1:] <= arr[:-1])):
+    if removed and (removed[0] < 1 or removed[-1] > cfg.n or any(map(ge, removed, removed[1:]))):
         raise DomainError(f"run file removals must increase strictly within [1, {cfg.n}]")
     return ProcessRun(cfg, tuple(removed), dropped)
 
@@ -430,12 +429,13 @@ def run_from_dict(d: dict) -> ProcessRun:
 def run_from_json(s: str) -> ProcessRun:
     try:
         return run_from_dict(json.loads(s))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal beyond int()'s digit limit
         raise DomainError(f"malformed run file: {exc}") from None
 
 
 def run_to_bitmap(run_: ProcessRun) -> bytes:
     """Little-endian 64-bit words; bit t set means integer t+1 was removed."""
+    import numpy as np
     bits = np.zeros(64 * ((run_.config.n + 63) // 64), dtype=bool)
     bits[np.array(run_.removed, dtype=np.int64) - 1] = True
     return np.packbits(bits, bitorder="little").tobytes()
@@ -443,6 +443,7 @@ def run_to_bitmap(run_: ProcessRun) -> bytes:
 
 def bitmap_to_removed(blob: bytes, n: int) -> tuple[int, ...]:
     """Inverse of run_to_bitmap (for a known horizon n)."""
+    import numpy as np
     words = np.frombuffer(blob[: len(blob) // 8 * 8], dtype=np.uint8)
     bits = np.unpackbits(words, bitorder="little")[:n]
     return tuple((np.flatnonzero(bits) + 1).tolist())

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpfree import bounds
+from gpfree import DEFAULT_LIMITS, bounds
 from gpfree.errors import DomainError
 
 mp.mp.dps = 40
@@ -88,6 +89,19 @@ class TestGapEnvelope:
         xs = [16.0 * 1.5**p for p in range(60)]
         vals = [bounds.gap_envelope(x, 0.2, 1.0) for x in xs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("eps", [1e-6, 0.05, 0.5, 3.0])
+    def test_strictly_increasing_at_every_integer(self, eps):
+        # gap_report fits C_eps at the first t of each gap value, which needs the
+        # computed envelope to grow at every step t -> t + 1 up to process_max_n,
+        # by far more than its rounding
+        top = DEFAULT_LIMITS.process_max_n
+        rng = random.Random(eps)
+        ts = [*range(16, 5000), *(int(16 * (top / 16) ** (p / 2000)) for p in range(2000)),
+              *(rng.randrange(16, top) for _ in range(2000)), top - 1]
+        for t in ts:
+            lo, hi = bounds.gap_envelope(t, eps, 1.0), bounds.gap_envelope(t + 1, eps, 1.0)
+            assert hi > lo * (1 + 1e-12), t
 
     def test_guards(self):
         with pytest.raises(DomainError):

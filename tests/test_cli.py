@@ -1,15 +1,17 @@
 import contextlib
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpfree import cli, gpcore, process
+from gpfree import __version__, cli, divisor, gpcore, process
 from test_process import full_run_empties
 
 
@@ -46,6 +48,62 @@ class TestEnvelopeShape:
         assert json.dumps(a["payload"], sort_keys=True) == json.dumps(
             b["payload"], sort_keys=True)
         assert a["seed"] == 3
+
+
+class TestStreamedRows:
+    """_emit writes "rows" and "values" a chunk at a time; the text is the one-shot text."""
+
+    @staticmethod
+    def _one_shot_csv(columns, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        writer.writerows(rows)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+    @pytest.mark.parametrize("size", [0, 1, 7, 50])
+    def test_emit_matches_one_shot(self, capsys, monkeypatch, chunk, size):
+        monkeypatch.setattr(cli, "_ROWS_CHUNK", chunk)
+        rows = [(i, 0.5 * i) for i in range(size)]
+        payload = {"columns": ["i", "half"], "rows": rows, "values": [v for _, v in rows],
+                   "zeta": "after"}
+        args = SimpleNamespace(_argv=["x", "\0", "--in", "rows"], format="json")
+        cli._emit(args, {**payload, "rows": iter(rows)}, seed=3, elapsed_ms=1.25)
+        envelope = {"version": __version__, "command": args._argv, "seed": 3,
+                    "payload": payload, "elapsed_ms": 1.25}
+        assert capsys.readouterr().out == json.dumps(envelope, sort_keys=True) + "\n"
+        args.format = "csv"
+        cli._emit(args, {**payload, "rows": iter(rows)})
+        assert capsys.readouterr().out == self._one_shot_csv(payload["columns"], rows)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+    def test_gaps_match_one_shot(self, capsys, monkeypatch, tmp_path, chunk):
+        monkeypatch.setattr(cli, "_ROWS_CHUNK", chunk)
+        run = process.run(process.ProcessConfig(process.ProcessKind.SIX_GP, 2000, 1))
+        (tmp_path / "run.json").write_text(process.run_to_json(run))
+        t = [x for x in run.survivors() if x >= 16]
+        rows = [(a, b - a) for a, b in zip(t, t[1:])]
+        argv = ["process", "gaps", "--in", str(tmp_path / "run.json"), "--epsilon", "0.5"]
+        code, out = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 0 and doc["payload"]["gap_count"] == len(rows) > 1000
+        doc["payload"]["rows"] = rows
+        assert out == json.dumps(doc, sort_keys=True) + "\n"
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0 and out == self._one_shot_csv(["t", "gap"], rows)
+
+    def test_table_matches_one_shot(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_ROWS_CHUNK", 7)
+        argv = ["divisor", "table", "--k", "2", "--start", "100", "--len", "50"]
+        code, out = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        values = [divisor.d_k(n, 2) for n in range(101, 151)]
+        rows = list(zip(range(101, 151), values))
+        doc["payload"].update(rows=rows, values=values)
+        assert code == 0 and out == json.dumps(doc, sort_keys=True) + "\n"
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0 and out == self._one_shot_csv(["n", "value"], rows)
 
 
 class TestGp:
@@ -250,6 +308,17 @@ class TestCleanExits:
         assert cli.main(["process", sub, "--in", str(f)] + extra) == 1
         self._err_line(capsys)
 
+    @pytest.mark.parametrize("sub", ["verify", "gaps"])
+    def test_boolean_removal_exit_1(self, capsys, tmp_path, sub):
+        # JSON true is not the integer 1: [true, 5] increases only if it were
+        f = tmp_path / "run.json"
+        f.write_text(json.dumps({"config": {"kind": "6gp", "n": 100, "seed": 1},
+                                 "removed": [True, 5],
+                                 "counts": {"removed": 2, "survivors": 98, "dropped_outside": 0}}))
+        extra = ["--epsilon", "0.5"] if sub == "gaps" else []
+        assert cli.main(["process", sub, "--in", str(f)] + extra) == 1
+        assert self._err_line(capsys).startswith("error: malformed run file")
+
     @pytest.mark.parametrize("argv", [
         ["process", "verify", "--in", "{missing}"],
         ["process", "gaps", "--in", "{missing}", "--epsilon", "0.5"],
@@ -337,12 +406,19 @@ class TestCleanExits:
          False),
         (["divisor", "mertens", "--x", "1000"], False),
         (["process", "survival", "--kind", "6gp", "--x", "100", "--h", "5", "--trials", "5",
-          "--seed", "1"], True),
+          "--seed", "1"], False),
+        (["process", "verify", "--in", "{run}"], False),
+        (["process", "gaps", "--in", "{run}", "--epsilon", "0.5"], False),
+        (["process", "run", "--kind", "6gp", "--n", "100", "--seed", "1"], True),
     ], ids=["gp", "bounds", "syndetic", "divisor", "divisor-sum", "divisor-mertens",
-            "process-survival"])
-    def test_numpy_loaded_only_where_used(self, argv, loads_numpy):
+            "process-survival", "process-verify", "process-gaps", "process-run"])
+    def test_numpy_loaded_only_where_used(self, tmp_path, argv, loads_numpy):
+        run = tmp_path / "run.json"
+        run.write_text(process.run_to_json(process.run(process.ProcessConfig(
+            process.ProcessKind.SIX_GP, 200, 1))))
         probe = ("import sys; from gpfree import cli; code = cli.main(sys.argv[1:]); "
                  "print(code, 'numpy' in sys.modules)")
+        argv = [a.format(run=run) for a in argv]
         out = subprocess.run([sys.executable, "-c", probe, *argv], env=_env_with_src(),
                              capture_output=True, text=True, check=True).stdout
         assert out.splitlines()[-1] == f"0 {loads_numpy}"

@@ -392,6 +392,7 @@ class TestSerialization:
         {"counts_survivors": 100},
         {"n": 100.0},
         {"no_counts": True},
+        {"removed": [True, 5]},              # a JSON boolean, increasing only as 1
     ])
     def test_malformed_run_rejected(self, edit):
         d = process.run_to_dict(process.ProcessRun(cfg(K6, 100, 1), (7, 8), 0))
@@ -411,6 +412,11 @@ class TestSerialization:
     def test_truncated_json_rejected(self):
         with pytest.raises(DomainError):
             process.run_from_json(process.run_to_json(process.run(cfg(K6, 100, 1)))[:-1])
+
+    def test_int_literal_beyond_digit_limit_rejected(self):
+        text = process.run_to_json(process.ProcessRun(cfg(K6, 100, 1), (7,), 0))
+        with pytest.raises(DomainError):
+            process.run_from_json(text.replace('"removed":[7]', '"removed":[' + "9" * 5000 + "]"))
 
     def test_empty_removal_list_loads(self):
         run = process.ProcessRun(cfg(K6, 16, 1), (), 0)
