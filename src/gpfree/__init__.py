@@ -10,7 +10,12 @@ Subpackages:
 
 Import a module to use it (`from gpfree import process`).  Only the vector
 kernel of process.run (and process's bitmap helpers) loads numpy; importing
-process does not.
+process does not.  `import gpfree` loads errors and limits alone, and the
+records of every module are namedtuples, which cost no import beyond
+collections.  A cli command loads only its group's module and that module's
+imports: `gp` loads gpcore, `process` loads process, bounds and gpcore,
+`syndetic` loads syndetic and gpcore, and `divisor` and `bounds` load their
+namesakes alone.
 """
 
 __version__ = "0.1.0"

@@ -7,7 +7,6 @@ keeps the double log comfortably away from its singularity.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -25,16 +24,35 @@ def _check_positive(name: str, v: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
-def C_ij_scale(i: int, j: int) -> Fraction:
-    """Exact rational part of C_{i,j}: 1/i + 1/j (the scalar on log 2)."""
+def _check_exponents(i: int, j: int) -> None:
     if i < 1 or j < 1:
         raise DomainError(f"exponents must be >= 1, got ({i}, {j})")
+
+
+def _exp(v: float) -> float:
+    """math.exp, with a float overflow reported as a DomainError."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise DomainError(f"exp({v:g}) overflows a float") from None
+
+
+def C_ij_scale(i: int, j: int) -> "Fraction":
+    """Exact rational part of C_{i,j}: 1/i + 1/j (the scalar on log 2)."""
+    from fractions import Fraction  # here, so that the envelopes do not import it
+
+    _check_exponents(i, j)
     return Fraction(1, i) + Fraction(1, j)
 
 
 def C_ij(i: int, j: int) -> float:
-    """log(2) * (1/i + 1/j); C_ij(2, 3) is exactly (5/6) log 2."""
-    return math.log(2) * float(C_ij_scale(i, j))
+    """log(2) * (1/i + 1/j); C_ij(2, 3) is exactly (5/6) log 2.
+
+    (i + j) / (i * j) is one correctly rounded int division, the same float
+    as float(C_ij_scale(i, j)).
+    """
+    _check_exponents(i, j)
+    return math.log(2) * ((i + j) / (i * j))
 
 
 C_2_3 = C_ij(2, 3)  # the paper's C = (5/6) log 2, computed once
@@ -45,7 +63,7 @@ def h_short(x: float, i: int, j: int, epsilon: float) -> float:
     _check_x(x)
     _check_positive("epsilon", epsilon)
     lx = math.log(x)
-    return math.exp((C_ij(i, j) + 2 * epsilon) * lx / math.log(lx))
+    return _exp((C_ij(i, j) + 2 * epsilon) * lx / math.log(lx))
 
 
 def gap_envelope(x: float, epsilon: float, c_eps: float) -> float:
@@ -54,7 +72,7 @@ def gap_envelope(x: float, epsilon: float, c_eps: float) -> float:
     _check_positive("epsilon", epsilon)
     _check_positive("C_eps", c_eps)
     lx = math.log(x)
-    return c_eps * math.exp((C_2_3 + epsilon) * lx / math.log(lx))
+    return c_eps * _exp((C_2_3 + epsilon) * lx / math.log(lx))
 
 
 def survival_bound(x: float, C: float, E: float, epsilon: float) -> float:
@@ -64,7 +82,7 @@ def survival_bound(x: float, C: float, E: float, epsilon: float) -> float:
         raise DomainError("C and E must be nonnegative")
     _check_positive("epsilon", epsilon)
     lx = math.log(x)
-    return math.exp(-C * E * math.exp((C_2_3 + epsilon) * lx / math.log(lx)))
+    return math.exp(-C * E * _exp((C_2_3 + epsilon) * lx / math.log(lx)))
 
 
 def p_default(x: int) -> float:

@@ -24,15 +24,13 @@ with the same text a one-shot dump would give.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 import time
 from itertools import chain, islice
 
-from . import __version__, bounds, gpcore, syndetic
+from . import __version__
 from .errors import GPFreeError, ResourceLimit
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -72,7 +70,6 @@ def _load_limits(path: str | None) -> Limits:
     if not path:
         return DEFAULT_LIMITS
     overrides = {}
-    int_keys = {"sieve_max_len", "mertens_max_x", "process_max_n", "search_node_budget"}
     for line in _read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -80,13 +77,13 @@ def _load_limits(path: str | None) -> Limits:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in int_keys and key != "search_time_budget_s":
+        if key not in Limits._fields:
             raise GPFreeError(f"unknown config key {key!r}")
-        try:
-            overrides[key] = int(value) if key in int_keys else float(value)
+        try:  # every budget is an int but the time budget
+            overrides[key] = float(value) if key == "search_time_budget_s" else int(value)
         except ValueError:
             raise UsageError(f"config key {key!r} has bad value {value!r}") from None
-    return DEFAULT_LIMITS.with_overrides(**overrides)
+    return DEFAULT_LIMITS._replace(**overrides)
 
 
 _ROWS_CHUNK = 1 << 14  # list items per write: no command holds a long list's whole text
@@ -101,6 +98,8 @@ def _chunks(items):
 def _emit(args, payload: dict, seed=None, elapsed_ms: float = 0.0) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "csv" and "rows" in payload:
+        import csv
+        import io
         for chunk in chain([[payload["columns"]]], _chunks(payload["rows"])):
             buf = io.StringIO()
             csv.writer(buf).writerows(chunk)
@@ -127,7 +126,7 @@ def _emit(args, payload: dict, seed=None, elapsed_ms: float = 0.0) -> None:
     sys.stdout.write("\n")
 
 
-def _gp_payload(gp: gpcore.KGeoProgression) -> dict:
+def _gp_payload(gp) -> dict:
     return {"k": gp.k, "a": gp.a, "b": gp.b, "c": gp.c, "terms": gp.terms()}
 
 
@@ -135,6 +134,7 @@ def _gp_payload(gp: gpcore.KGeoProgression) -> dict:
 # gp subcommands
 
 def cmd_gp_enumerate(args):
+    from . import gpcore
     if args.max_items < 1:
         raise UsageError(f"--max-items must be at least 1, got {args.max_items}")
     stream = gpcore.enumerate_gps(args.k, args.position, args.bound)
@@ -147,6 +147,7 @@ def cmd_gp_enumerate(args):
 
 
 def cmd_gp_decompose(args):
+    from . import gpcore
     try:
         terms = [int(t) for t in args.terms.split(",")]
     except ValueError:
@@ -155,6 +156,7 @@ def cmd_gp_decompose(args):
 
 
 def cmd_gp_contains(args):
+    from . import gpcore
     limits = _load_limits(args.config)
     text = _read_text(args.input)
     try:
@@ -276,9 +278,10 @@ def cmd_process_survival(args):
 # syndetic subcommands
 
 def cmd_syndetic_search(args):
+    from . import syndetic
     limits = _load_limits(args.config)
     if args.budget is not None:
-        limits = limits.with_overrides(search_node_budget=args.budget)
+        limits = limits._replace(search_node_budget=args.budget)
     inst = syndetic.build_instance(args.n, args.pairing)
     out = syndetic.search(inst, workers=args.workers, limits=limits)
     payload = {
@@ -296,6 +299,7 @@ def cmd_syndetic_search(args):
 
 
 def cmd_syndetic_export(args):
+    from . import syndetic
     inst = syndetic.build_instance(args.n, args.pairing)
     sys.stdout.write(syndetic.export_dimacs(inst))
     return None  # already printed
@@ -305,6 +309,7 @@ def cmd_syndetic_export(args):
 # bounds subcommand
 
 def cmd_bounds_envelope(args):
+    from . import bounds
     if args.points < 1:
         raise UsageError(f"--points must be at least 1, got {args.points}")
     bounds._check_x(args.x0)  # both ends first: an end <= 0 breaks the ratio
@@ -323,124 +328,94 @@ def cmd_bounds_envelope(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table of (group, leaf, handler, options)
 
-def build_parser() -> argparse.ArgumentParser:
+def _opt(flag: str, type=None, **kw) -> tuple[str, dict]:
+    """A leaf option as add_argument's (flag, keywords); required unless it has a default."""
+    return flag, {"type": type, "required": "default" not in kw, **kw}
+
+
+_FORMAT = _opt("--format", choices=["json", "csv"], default="json")
+_CONFIG = _opt("--config", default=None, help="key=value budget file")
+_WORKERS = _opt("--workers", int, default=None,
+                help=f"no effect; default: ${WORKERS_ENV} or the CPU count")
+_KIND = _opt("--kind", choices=["6gp", "5gp", "3gp-int"])
+_PAIRING = _opt("--pairing", choices=["disjoint", "overlapping"], default="disjoint")
+_IN = _opt("--in", dest="infile")
+_WINDOW = [_opt("--start", int), _opt("--len", int)]
+
+_GROUPS = {
+    "gp": "geometric-progression core",
+    "divisor": "divisor-function sieves and sums",
+    "process": "randomized GP-removal processes",
+    "syndetic": "exhaustive pair-selection search",
+    "bounds": "envelope evaluation",
+}
+
+# Options in --help order.  A handler imports the gpfree modules it runs on first
+# use, so a command loads its own group's module (gp: gpcore; divisor: divisor;
+# process: process, bounds and gpcore; syndetic: syndetic and gpcore; bounds:
+# bounds) and none of the others.
+_COMMANDS = [
+    ("gp", "enumerate", cmd_gp_enumerate,
+     [_opt("--k", int), _opt("--position", int), _opt("--bound", int),
+      _opt("--max-items", int, default=10000), _FORMAT, _CONFIG]),
+    ("gp", "decompose", cmd_gp_decompose,
+     [_opt("--terms", help="comma-separated integers"), _FORMAT, _CONFIG]),
+    ("gp", "contains", cmd_gp_contains,
+     [_opt("--k", int), _opt("--mode", choices=["rational", "int"], default="rational"),
+      _opt("--input"), _FORMAT, _CONFIG]),
+    ("divisor", "table", cmd_divisor_table,
+     [_opt("--k", int, default=None), _opt("--i", int, default=None),
+      _opt("--j", int, default=None), *_WINDOW, _FORMAT, _CONFIG]),
+    ("divisor", "sum", cmd_divisor_sum,
+     [_opt("--i", int), _opt("--j", int), *_WINDOW, _opt("--D", float), _FORMAT, _CONFIG]),
+    ("divisor", "mertens", cmd_divisor_mertens, [_opt("--x", int), _FORMAT, _CONFIG]),
+    ("process", "run", cmd_process_run,
+     [_KIND, _opt("--n", int), _opt("--seed", int), _opt("--out", default=None),
+      _FORMAT, _CONFIG, _WORKERS]),
+    ("process", "gaps", cmd_process_gaps, [_IN, _opt("--epsilon", float), _FORMAT, _CONFIG]),
+    ("process", "verify", cmd_process_verify, [_IN, _FORMAT, _CONFIG]),
+    ("process", "survival", cmd_process_survival,
+     [_KIND, _opt("--x", int), _opt("--h", int), _opt("--trials", int), _opt("--seed", int),
+      _FORMAT, _CONFIG]),
+    ("syndetic", "search", cmd_syndetic_search,
+     [_opt("--n", int), _PAIRING, _opt("--budget", int, default=None, help="node budget"),
+      _FORMAT, _CONFIG, _WORKERS]),
+    ("syndetic", "export", cmd_syndetic_export,
+     [_opt("--n", int), _PAIRING, _opt("--format", choices=["dimacs"], default="dimacs")]),
+    ("bounds", "envelope", cmd_bounds_envelope,
+     [_opt("--epsilon", float), _opt("--c-eps", float, dest="c_eps"),
+      _opt("--from", float, dest="x0"), _opt("--to", float, dest="x1"), _opt("--points", int),
+      _FORMAT, _CONFIG]),
+]
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The gpfree parser, with leaf parsers for the group that `argv` names only.
+
+    argparse takes the first group name in argv as the group, as no top-level
+    option takes a value.  The other groups get no leaves: the top-level and
+    group --help texts, and their usage errors, do not show them.
+    """
     p = argparse.ArgumentParser(prog="gpfree", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, workers=False, config=True, fmt=True):
-        if fmt:
-            sp.add_argument("--format", choices=["json", "csv"], default="json")
-        if config:
-            sp.add_argument("--config", default=None, help="key=value budget file")
-        if workers:
-            sp.add_argument("--workers", type=int, default=None,
-                            help=f"no effect; default: ${WORKERS_ENV} or the CPU count")
-
-    gp = sub.add_parser("gp", help="geometric-progression core").add_subparsers(
-        dest="sub", required=True)
-    sp = gp.add_parser("enumerate")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--position", type=int, required=True)
-    sp.add_argument("--bound", type=int, required=True)
-    sp.add_argument("--max-items", type=int, default=10000)
-    common(sp)
-    sp.set_defaults(func=cmd_gp_enumerate)
-    sp = gp.add_parser("decompose")
-    sp.add_argument("--terms", required=True, help="comma-separated integers")
-    common(sp)
-    sp.set_defaults(func=cmd_gp_decompose)
-    sp = gp.add_parser("contains")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--mode", choices=["rational", "int"], default="rational")
-    sp.add_argument("--input", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_gp_contains)
-
-    dv = sub.add_parser("divisor", help="divisor-function sieves and sums").add_subparsers(
-        dest="sub", required=True)
-    sp = dv.add_parser("table")
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--i", type=int, default=None)
-    sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--start", type=int, required=True)
-    sp.add_argument("--len", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_divisor_table)
-    sp = dv.add_parser("sum")
-    sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--start", type=int, required=True)
-    sp.add_argument("--len", type=int, required=True)
-    sp.add_argument("--D", type=float, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_divisor_sum)
-    sp = dv.add_parser("mertens")
-    sp.add_argument("--x", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_divisor_mertens)
-
-    pr = sub.add_parser("process", help="randomized GP-removal processes").add_subparsers(
-        dest="sub", required=True)
-    sp = pr.add_parser("run")
-    sp.add_argument("--kind", choices=["6gp", "5gp", "3gp-int"], required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--out", default=None)
-    common(sp, workers=True)
-    sp.set_defaults(func=cmd_process_run)
-    sp = pr.add_parser("gaps")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--epsilon", type=float, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_process_gaps)
-    sp = pr.add_parser("verify")
-    sp.add_argument("--in", dest="infile", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_process_verify)
-    sp = pr.add_parser("survival")
-    sp.add_argument("--kind", choices=["6gp", "5gp", "3gp-int"], required=True)
-    sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--h", type=int, required=True)
-    sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_process_survival)
-
-    sy = sub.add_parser("syndetic", help="exhaustive pair-selection search").add_subparsers(
-        dest="sub", required=True)
-    sp = sy.add_parser("search")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--pairing", choices=["disjoint", "overlapping"], default="disjoint")
-    sp.add_argument("--budget", type=int, default=None, help="node budget")
-    common(sp, workers=True)
-    sp.set_defaults(func=cmd_syndetic_search)
-    sp = sy.add_parser("export")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--pairing", choices=["disjoint", "overlapping"], default="disjoint")
-    sp.add_argument("--format", choices=["dimacs"], default="dimacs")
-    common(sp, config=False, fmt=False)
-    sp.set_defaults(func=cmd_syndetic_export)
-
-    bd = sub.add_parser("bounds", help="envelope evaluation").add_subparsers(
-        dest="sub", required=True)
-    sp = bd.add_parser("envelope")
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--c-eps", dest="c_eps", type=float, required=True)
-    sp.add_argument("--from", dest="x0", type=float, required=True)
-    sp.add_argument("--to", dest="x1", type=float, required=True)
-    sp.add_argument("--points", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_bounds_envelope)
-
+    leaves = {name: sub.add_parser(name, help=text).add_subparsers(dest="sub", required=True)
+              for name, text in _GROUPS.items()}
+    group = next((a for a in argv if a in _GROUPS), None)
+    for name, leaf, func, options in _COMMANDS:
+        if name == group:
+            sp = leaves[name].add_parser(leaf)
+            for flag, kw in options:
+                sp.add_argument(flag, **kw)
+            sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     args._argv = argv
     t0 = time.perf_counter()

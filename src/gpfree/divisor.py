@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import isqrt
@@ -122,25 +121,23 @@ def _lattice_count(alpha: int, i: int, j: int) -> int:
     return sum((alpha - i * e) // j + 1 for e in range(alpha // i + 1))
 
 
-@dataclass(frozen=True)
-class DivisorSpec:
+class DivisorSpec(namedtuple("DivisorSpec", "k i j")):
     """Either a single exponent k (d_k) or a pair (i, j) (d_{i,j})."""
 
-    k: int | None = None
-    i: int | None = None
-    j: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k is not None:
-            if self.i is not None or self.j is not None:
+    def __new__(cls, k: int | None = None, i: int | None = None, j: int | None = None):
+        if k is not None:
+            if i is not None or j is not None:
                 raise DomainError("give either k or (i, j), not both")
-            if self.k < 1:
-                raise DomainError(f"k must be >= 1, got {self.k}")
+            if k < 1:
+                raise DomainError(f"k must be >= 1, got {k}")
         else:
-            if self.i is None or self.j is None:
+            if i is None or j is None:
                 raise DomainError("pair spec needs both i and j")
-            if self.i < 1 or self.j < 1:
-                raise DomainError(f"exponents must be >= 1, got ({self.i}, {self.j})")
+            if i < 1 or j < 1:
+                raise DomainError(f"exponents must be >= 1, got ({i}, {j})")
+        return super().__new__(cls, k, i, j)
 
     @classmethod
     def single(cls, k: int) -> "DivisorSpec":
@@ -172,27 +169,25 @@ def d_ij(n: int, i: int, j: int) -> int:
     return DivisorSpec.pair(i, j).of(n)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "x h")):
     """Half-open window (x, x+h]; entries are n = x+1 .. x+h."""
 
-    x: int
-    h: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x < 0:
-            raise DomainError(f"x must be >= 0, got {self.x}")
-        if self.h < 1:
-            raise DomainError(f"h must be >= 1, got {self.h}")
-        if self.x + self.h > 2**63 - 1:
+    def __new__(cls, x: int, h: int):
+        if x < 0:
+            raise DomainError(f"x must be >= 0, got {x}")
+        if h < 1:
+            raise DomainError(f"h must be >= 1, got {h}")
+        if x + h > 2**63 - 1:
             raise DomainError("interval end exceeds supported width")
+        return super().__new__(cls, x, h)
 
 
-@dataclass(frozen=True)
-class DivisorTable:
-    interval: Interval
-    spec: DivisorSpec
-    values: tuple[int, ...]  # values[t] == spec.of(x + 1 + t)
+class DivisorTable(namedtuple("DivisorTable", "interval spec values")):
+    """values[t] == spec.of(x + 1 + t) over the window."""
+
+    __slots__ = ()
 
     def rows(self):
         for t, v in enumerate(self.values):

@@ -10,7 +10,7 @@ over the divisors of a given term.  3-GPs are plain (x, y, z) int tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 from math import gcd
 from typing import Callable, Iterator, Optional, Sequence
@@ -23,24 +23,21 @@ RATIONAL = "rational"
 INTEGER = "integer"
 
 
-@dataclass(frozen=True)
-class KGeoProgression:
-    k: int
-    a: int
-    b: int
-    c: int
+class KGeoProgression(namedtuple("KGeoProgression", "k a b c")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 3:
-            raise DomainError(f"k must be >= 3, got {self.k}")
-        if self.a < 1 or self.b < 1 or self.c < 1:
+    def __new__(cls, k: int, a: int, b: int, c: int):
+        if k < 3:
+            raise DomainError(f"k must be >= 3, got {k}")
+        if a < 1 or b < 1 or c < 1:
             raise DomainError("a, b, c must be positive")
-        if self.b >= self.c:
-            raise DomainError(f"need b < c for ratio > 1, got b={self.b}, c={self.c}")
-        if gcd(self.b, self.c) != 1:
-            raise DomainError(f"ratio {self.c}/{self.b} not in lowest terms")
-        if self.k > 64 or self.a * self.c ** (self.k - 1) > MAX_TERM:  # k > 64: c**(k-1) >= 2**64
+        if b >= c:
+            raise DomainError(f"need b < c for ratio > 1, got b={b}, c={c}")
+        if gcd(b, c) != 1:
+            raise DomainError(f"ratio {c}/{b} not in lowest terms")
+        if k > 64 or a * c ** (k - 1) > MAX_TERM:  # k > 64: c**(k-1) >= 2**64
             raise DomainError("largest term exceeds 64 bits")
+        return super().__new__(cls, k, a, b, c)
 
     def terms(self) -> list[int]:
         k, a, b, c = self.k, self.a, self.b, self.c

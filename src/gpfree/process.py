@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import compress, islice
 from math import isqrt
@@ -81,24 +81,21 @@ class ProcessKind(str, Enum):
     THREE_GP_INT = "3gp-int"
 
 
-@dataclass(frozen=True)
-class ProcessConfig:
-    kind: ProcessKind
-    n: int
-    seed: int
+class ProcessConfig(namedtuple("ProcessConfig", "kind n seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 16:
-            raise DomainError(f"horizon must be >= 16, got {self.n}")
-        if not 0 <= self.seed <= _M64:
+    def __new__(cls, kind: ProcessKind, n: int, seed: int):
+        if n < 16:
+            raise DomainError(f"horizon must be >= 16, got {n}")
+        if not 0 <= seed <= _M64:
             raise DomainError("seed must fit in 64 bits")
+        return super().__new__(cls, kind, n, seed)
 
 
-@dataclass(frozen=True)
-class ProcessRun:
-    config: ProcessConfig
-    removed: tuple[int, ...]  # sorted, subset of [1, n]
-    dropped_outside: int      # removals that landed above the horizon
+class ProcessRun(namedtuple("ProcessRun", "config removed dropped_outside")):
+    """`removed` is sorted within [1, n]; `dropped_outside` counts the removals above n."""
+
+    __slots__ = ()
 
     def removed_set(self) -> frozenset[int]:
         return frozenset(self.removed)
@@ -249,13 +246,11 @@ def verify_free(run_: ProcessRun) -> Optional[KGeoProgression]:
 # ---------------------------------------------------------------------------
 # gap analysis
 
-@dataclass(frozen=True)
-class GapReport:
-    epsilon: float
-    survivors: array  # the survivors t >= 16, ascending, as array("q")
-    lengths: list[int]  # lengths[i] = survivors[i + 1] - survivors[i]
-    max_gap: int
-    fitted_c_eps: float
+class GapReport(namedtuple("GapReport", "epsilon survivors lengths max_gap fitted_c_eps")):
+    """`survivors` holds the survivors t >= 16 ascending, as array("q"), and
+    lengths[i] = survivors[i + 1] - survivors[i]."""
+
+    __slots__ = ()
 
     @property
     def gaps(self) -> tuple[tuple[int, int], ...]:
@@ -287,13 +282,8 @@ def gap_report(run_: ProcessRun, epsilon: float) -> GapReport:
 # ---------------------------------------------------------------------------
 # Monte Carlo survival-probability estimation
 
-@dataclass(frozen=True)
-class SurvivalEstimate:
-    kind: ProcessKind
-    x: int
-    h: int
-    trials: int
-    empties: int
+class SurvivalEstimate(namedtuple("SurvivalEstimate", "kind x h trials empties")):
+    __slots__ = ()
 
     @property
     def estimate(self) -> float:
@@ -350,6 +340,8 @@ def survival_probability(
         raise DomainError("seed must fit in 64 bits")
     if x + h > limits.process_max_n:
         raise ResourceLimit(f"x + h exceeds budget {limits.process_max_n}")
+    if trials > limits.survival_max_trials:
+        raise ResourceLimit(f"trials {trials} exceeds budget {limits.survival_max_trials}")
     if kind is ProcessKind.SIX_GP and h * h >= x:
         raise DomainError(f"6gp window needs h < sqrt(x); got h={h}, x={x}")
 

@@ -24,7 +24,7 @@ for both verdicts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .errors import DomainError, MalformedSelection
@@ -41,30 +41,26 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 _UNDEC, _IN, _OUT = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class SearchInstance:
-    n: int
-    pairing: str
-    pairs: tuple[tuple[int, int], ...]
-    triples: tuple[tuple[int, int, int], ...]  # (x, y, z), x < y < z, y*y == x*z
-    member: tuple[tuple[int, ...], ...]  # member[e] = indices of triples containing e
+# triples: (x, y, z) with x < y < z, y*y == x*z; member[e]: indices of the triples holding e
+SearchInstance = namedtuple("SearchInstance", "n pairing pairs triples member")
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0
-    prunings: dict = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    __slots__ = ("nodes", "prunings", "elapsed_ms")
+
+    def __init__(self):
+        self.nodes, self.prunings, self.elapsed_ms = 0, {}, 0.0
+
+    def __repr__(self) -> str:
+        return (f"SearchStats(nodes={self.nodes!r}, prunings={self.prunings!r}, "
+                f"elapsed_ms={self.elapsed_ms!r})")
 
     def bump(self, cause: str) -> None:
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    verdict: str
-    stats: SearchStats
-    selection: Optional[tuple[int, ...]] = None  # present iff counterexample
+# selection: the counterexample, present iff the verdict is COUNTEREXAMPLE
+SearchOutcome = namedtuple("SearchOutcome", "verdict stats selection", defaults=(None,))
 
 
 def build_instance(n: int, pairing: str = DISJOINT) -> SearchInstance:

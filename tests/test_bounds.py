@@ -37,6 +37,33 @@ class TestConstants:
     def test_bad_exponents(self):
         with pytest.raises(DomainError):
             bounds.C_ij(0, 3)
+        with pytest.raises(DomainError):
+            bounds.C_ij_scale(2, 0)
+
+    def test_float_division_is_the_rounded_fraction(self):
+        # (i + j) / (i * j) rounds once, as float(Fraction) does: the same bits
+        for i in range(1, 60):
+            for j in range(1, 60):
+                assert bounds.C_ij(i, j) == math.log(2) * float(bounds.C_ij_scale(i, j)), (i, j)
+        assert bounds.C_2_3 == math.log(2) * float(Fraction(5, 6))
+
+
+class TestExpOverflow:
+    """An exponent past exp's float range is a DomainError, not an OverflowError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: bounds.gap_envelope(16, 300.0, 1.0),
+        lambda: bounds.h_short(16, 2, 3, 300.0),
+        lambda: bounds.survival_bound(16, 1.0, 1.0, 300.0),
+    ], ids=["gap_envelope", "h_short", "survival_bound"])
+    def test_overflow_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="overflows a float"):
+            call()
+
+    def test_largest_finite_exponent_still_evaluates(self):
+        # exp overflows just above log(max float) = 709.78
+        eps = 709.0 * math.log(math.log(16)) / math.log(16) - bounds.C_2_3
+        assert bounds.gap_envelope(16, eps, 1.0) == pytest.approx(math.exp(709.0), rel=1e-9)
 
 
 class TestHShort:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpfree import __version__, cli, divisor, gpcore, process
+from gpfree import DEFAULT_LIMITS, __version__, cli, divisor, gpcore, process
 from test_process import full_run_empties
 
 
@@ -269,6 +270,14 @@ class TestConfigFile:
         assert code == 1
 
 
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules a bare interpreter holds at start-up, with this environment's site."""
+    out = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                         env=_env_with_src(), capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
 class TestCleanExits:
     """Bad input ends in one stderr line and an exit code, never a traceback."""
 
@@ -348,13 +357,19 @@ class TestCleanExits:
           "--to", "16", "--points", "3"], 1),
         (["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "0",
           "--to", "16", "--points", "3"], 1),
+        (["bounds", "envelope", "--epsilon", "300", "--c-eps", "1", "--from", "16",
+          "--to", "100", "--points", "2"], 1),
+        (["process", "gaps", "--in", "{run}", "--epsilon", "300"], 1),
     ], ids=["terms-token", "input-token", "input-encoding", "out-dir", "max-items-0",
             "points-0", "survival-seed-too-big", "survival-seed-negative",
-            "grid-negative-end", "grid-zero-end"])
+            "grid-negative-end", "grid-zero-end", "envelope-exp-overflow", "gaps-exp-overflow"])
     def test_bad_input_exits_cleanly(self, capsys, tmp_path, argv, code):
         (tmp_path / "tokens").write_text("1 x 4\n")
         (tmp_path / "latin1").write_bytes(b"1 \xe9 4\n")
-        paths = {name: str(tmp_path / name) for name in ("tokens", "latin1", "absent")}
+        (tmp_path / "run").write_text(json.dumps({
+            "config": {"kind": "6gp", "n": 100, "seed": 1}, "removed": [],
+            "counts": {"removed": 0, "survivors": 100, "dropped_outside": 0}}))
+        paths = {name: str(tmp_path / name) for name in ("tokens", "latin1", "run", "absent")}
         assert cli.main([a.format(**paths) for a in argv]) == code
         prefix = "usage error: " if code == 2 else "error: "
         assert self._err_line(capsys).startswith(prefix)
@@ -376,6 +391,22 @@ class TestCleanExits:
         monkeypatch.setattr(gpcore, "contains_gp", must_not_run)
         assert cli.main([a.format(**paths) for a in argv]) == 3
         assert self._err_line(capsys).startswith("resource limit: ")
+
+    def test_trials_above_budget_exit_3(self, capsys, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a trial started above the trials budget")
+        monkeypatch.setattr(process, "_removal_events", must_not_run)
+        argv = ["process", "survival", "--kind", "5gp", "--x", "1000", "--h", "2", "--seed", "1"]
+        top = str(DEFAULT_LIMITS.survival_max_trials + 1)
+        assert cli.main(argv + ["--trials", top]) == 3
+        assert self._err_line(capsys).startswith(f"resource limit: trials {top} exceeds budget")
+        conf = tmp_path / "limits.conf"
+        conf.write_text("survival_max_trials = 10\n")
+        assert cli.main(argv + ["--trials", "11", "--config", str(conf)]) == 3
+        self._err_line(capsys)
+        monkeypatch.undo()
+        doc = run_json(capsys, *argv, "--trials", "10", "--config", str(conf))
+        assert doc["payload"]["trials"] == 10
 
     def test_unwritable_out_found_before_run(self, capsys, tmp_path, monkeypatch):
         from gpfree import process
@@ -410,18 +441,39 @@ class TestCleanExits:
         (["process", "verify", "--in", "{run}"], False),
         (["process", "gaps", "--in", "{run}", "--epsilon", "0.5"], False),
         (["process", "run", "--kind", "6gp", "--n", "100", "--seed", "1"], True),
+        (["gp", "enumerate", "--k", "3", "--position", "1", "--bound", "20"], False),
+        (["gp", "contains", "--k", "3", "--input", "{members}"], False),
+        (["syndetic", "export", "--n", "10"], False),
+        (["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "16",
+          "--to", "1e6", "--points", "3", "--format", "csv"], False),
+        (["divisor", "table", "--k", "2", "--start", "0", "--len", "10", "--format", "csv"], False),
+        (["process", "gaps", "--in", "{run}", "--epsilon", "0.5", "--format", "csv"], False),
     ], ids=["gp", "bounds", "syndetic", "divisor", "divisor-sum", "divisor-mertens",
-            "process-survival", "process-verify", "process-gaps", "process-run"])
-    def test_numpy_loaded_only_where_used(self, tmp_path, argv, loads_numpy):
+            "process-survival", "process-verify", "process-gaps", "process-run",
+            "gp-enumerate", "gp-contains", "syndetic-export", "bounds-csv", "divisor-csv",
+            "process-gaps-csv"])
+    def test_numpy_loaded_only_where_used(self, tmp_path, bare_modules, argv, loads_numpy):
+        """Each command loads what it runs: modules counted beyond a bare interpreter's."""
         run = tmp_path / "run.json"
         run.write_text(process.run_to_json(process.run(process.ProcessConfig(
             process.ProcessKind.SIX_GP, 200, 1))))
+        (tmp_path / "members.txt").write_text("4 6 9\n")
         probe = ("import sys; from gpfree import cli; code = cli.main(sys.argv[1:]); "
-                 "print(code, 'numpy' in sys.modules)")
-        argv = [a.format(run=run) for a in argv]
+                 "print(code, *sorted(sys.modules))")
+        argv = [a.format(run=run, members=tmp_path / "members.txt") for a in argv]
         out = subprocess.run([sys.executable, "-c", probe, *argv], env=_env_with_src(),
                              capture_output=True, text=True, check=True).stdout
-        assert out.splitlines()[-1] == f"0 {loads_numpy}"
+        code, *modules = out.splitlines()[-1].split()
+        loaded = set(modules) - bare_modules
+        assert code == "0"
+        assert ("numpy" in loaded) == loads_numpy
+        assert "dataclasses" not in loaded
+        assert ("csv" in loaded) == ("csv" in argv), "csv loads only for --format csv"
+        if argv[0] == "bounds":
+            assert not loaded & {"gpfree.gpcore", "gpfree.syndetic", "gpfree.divisor",
+                                 "gpfree.process", "fractions"}
+        if argv[0] == "gp":
+            assert "gpfree.syndetic" not in loaded
 
     def test_import_loads_no_pool_machinery(self):
         probe = ("import sys, gpfree.cli; "
@@ -444,6 +496,26 @@ class TestCleanExits:
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+
+
+_HELP_TEXTS = json.loads(
+    (pathlib.Path(__file__).with_name("cli_help_texts.json")).read_text())
+
+
+class TestHelpTexts:
+    """--help of the top level, each group and each leaf, and the usage errors of a
+    missing or unknown group and an unknown leaf, pinned from the parser that built
+    every leaf of every group."""
+
+    @pytest.mark.parametrize("argv", sorted(_HELP_TEXTS))
+    def test_text_unchanged(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+        try:
+            code = cli.main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert {"code": code, "stdout": out, "stderr": err} == _HELP_TEXTS[argv]
 
 
 def _fuzz_files(root):
@@ -512,8 +584,8 @@ _PAIRING = ("--pairing", st.sampled_from(["disjoint", "overlapping", "none"]))
 _WINDOW = [("--start", _ints(0, 10**6)), ("--len", _ints(1, 1000))]
 
 # Sizes are capped where the CLI has no budget yet (ROADMAP item 6):
-# `syndetic --n`, `gp enumerate --bound` and `--max-items`, `bounds envelope
-# --points` and `process survival --trials` take no huge values.
+# `syndetic --n`, `gp enumerate --bound` and `--max-items`, and `bounds envelope
+# --points` take no huge values.
 _COMMANDS = st.one_of(
     _argv(["gp", "enumerate"], ("--k", _ints(1, 7)), ("--position", _ints(0, 6)),
           ("--bound", _ints(1, 1000, huge=False)), ("--max-items", _ints(1, 1000, huge=False)),
@@ -534,7 +606,7 @@ _COMMANDS = st.one_of(
     _argv(["process", "verify"], ("--in", _files("run", "huge_run", "bad_run", "members")),
           _CONFIG),
     _argv(["process", "survival"], _KIND, ("--x", _ints(1, 10**4)), ("--h", _ints(1, 1000)),
-          ("--trials", _ints(1, 20, huge=False)), _SEED, _CONFIG),
+          ("--trials", _ints(1, 20)), _SEED, _CONFIG),
     _argv(["syndetic", "search"], ("--n", _ints(1, 2000, huge=False)), _PAIRING,
           ("--budget", _ints(1, 1000)), ("--workers", _ints(1, 4)), _CONFIG),
     _argv(["syndetic", "export"], ("--n", _ints(1, 2000, huge=False)), _PAIRING),
@@ -556,6 +628,11 @@ class TestCliFuzz:
                    "--to", "16", "--points", "3"])
     @example(argv=["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "0",
                    "--to", "16", "--points", "3"])
+    @example(argv=["bounds", "envelope", "--epsilon", "300", "--c-eps", "1", "--from", "16",
+                   "--to", "100", "--points", "2"])
+    @example(argv=["process", "gaps", "--in", "{run}", "--epsilon", "300"])
+    @example(argv=["process", "survival", "--kind", "5gp", "--x", "1000", "--h", "2",
+                   "--trials", str(10**20), "--seed", "1"])
     @settings(max_examples=800, deadline=None)
     def test_exit_code_and_nothing_else(self, fuzz_files, argv):
         argv = [a.format(**fuzz_files) for a in argv]

@@ -175,13 +175,13 @@ class TestSieve:
     @settings(max_examples=25, deadline=None)
     def test_window_ending_near_int64_max(self, h, slack, spec, cube_root_primes):
         x = INT64_MAX - h - slack
-        limits = DEFAULT_LIMITS.with_overrides(mertens_max_x=2**32)
+        limits = DEFAULT_LIMITS._replace(mertens_max_x=2**32)
         table = divisor.sieve(divisor.Interval(x, h), spec, limits)
         for n, v in table.rows():
             assert v == _cube_part_value(n, spec, cube_root_primes)
 
     def test_powers_of_two_up_to_2_62(self):
-        limits = DEFAULT_LIMITS.with_overrides(mertens_max_x=2**32)
+        limits = DEFAULT_LIMITS._replace(mertens_max_x=2**32)
         spec = divisor.DivisorSpec.single(3)
         table = divisor.sieve(divisor.Interval(2**62 - 1, 1), spec, limits)
         assert table.values == (62 // 3 + 1,)
@@ -189,7 +189,7 @@ class TestSieve:
     def test_prime_base_budget(self):
         with pytest.raises(ResourceLimit):
             divisor.sieve(divisor.Interval(INT64_MAX - 10, 10), divisor.DivisorSpec.single(2))
-        small = DEFAULT_LIMITS.with_overrides(mertens_max_x=999)
+        small = DEFAULT_LIMITS._replace(mertens_max_x=999)
         with pytest.raises(ResourceLimit):  # isqrt(10**6) = 1000
             divisor.sum_S(divisor.Interval(10**6 - 1, 1), 2, 3, LOG2, small)
         divisor.sum_S(divisor.Interval(10**6 - 2, 1), 2, 3, LOG2, small)

@@ -1,0 +1,117 @@
+"""The library's record types: validation, immutability and repr.
+
+The reprs and error messages are those of the earlier dataclass records;
+Limits adds its survival_max_trials field at the end.
+"""
+
+import re
+from array import array
+
+import pytest
+
+from gpfree import divisor, gpcore, limits, syndetic
+from gpfree import process as P
+from gpfree.errors import DomainError
+
+RECORDS = {
+    "Limits": (
+        limits.Limits,
+        "Limits(sieve_max_len=10000000, mertens_max_x=100000000, process_max_n=10000000, "
+        "search_node_budget=None, search_time_budget_s=None, survival_max_trials=1000000)",
+    ),
+    "KGeoProgression": (
+        lambda: gpcore.KGeoProgression(3, 1, 2, 3),
+        "KGeoProgression(k=3, a=1, b=2, c=3)",
+    ),
+    "DivisorSpec": (
+        lambda: divisor.DivisorSpec.pair(3, 2),
+        "DivisorSpec(k=None, i=3, j=2)",
+    ),
+    "Interval": (lambda: divisor.Interval(10, 5), "Interval(x=10, h=5)"),
+    "DivisorTable": (
+        lambda: divisor.sieve(divisor.Interval(10, 3), divisor.DivisorSpec.single(2)),
+        "DivisorTable(interval=Interval(x=10, h=3), spec=DivisorSpec(k=2, i=None, j=None), "
+        "values=(1, 2, 1))",
+    ),
+    "ProcessConfig": (
+        lambda: P.ProcessConfig(P.ProcessKind.FIVE_GP, 100, 7),
+        "ProcessConfig(kind=<ProcessKind.FIVE_GP: '5gp'>, n=100, seed=7)",
+    ),
+    "ProcessRun": (
+        lambda: P.ProcessRun(P.ProcessConfig(P.ProcessKind.SIX_GP, 16, 1), (4, 9), 2),
+        "ProcessRun(config=ProcessConfig(kind=<ProcessKind.SIX_GP: '6gp'>, n=16, seed=1), "
+        "removed=(4, 9), dropped_outside=2)",
+    ),
+    "GapReport": (
+        lambda: P.GapReport(0.5, array("q", [16, 18]), [2], 2, 0.25),
+        "GapReport(epsilon=0.5, survivors=array('q', [16, 18]), lengths=[2], max_gap=2, "
+        "fitted_c_eps=0.25)",
+    ),
+    "SurvivalEstimate": (
+        lambda: P.SurvivalEstimate(P.ProcessKind.THREE_GP_INT, 100, 5, 50, 3),
+        "SurvivalEstimate(kind=<ProcessKind.THREE_GP_INT: '3gp-int'>, x=100, h=5, trials=50, "
+        "empties=3)",
+    ),
+    "SearchInstance": (
+        lambda: syndetic.build_instance(4),
+        "SearchInstance(n=4, pairing='disjoint', pairs=((1, 2), (3, 4)), triples=((1, 2, 4),), "
+        "member=((), (0,), (0,), (), (0,)))",
+    ),
+    "SearchOutcome": (
+        lambda: syndetic.search(syndetic.build_instance(4)),
+        "SearchOutcome(verdict='counterexample', stats=SearchStats(nodes=1, prunings={}, "
+        "elapsed_ms=X), selection=(1, 3))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_repr(name):
+    make, want = RECORDS[name]
+    assert re.sub(r"elapsed_ms=[0-9.e-]+", "elapsed_ms=X", repr(make())) == want
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_refuses_attribute_assignment(name):
+    record = RECORDS[name][0]()
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_search_stats_is_a_mutable_counter():
+    stats = syndetic.SearchStats()
+    assert repr(stats) == "SearchStats(nodes=0, prunings={}, elapsed_ms=0.0)"
+    stats.nodes += 2
+    stats.bump("triple-complete")
+    stats.bump("triple-complete")
+    assert repr(stats) == "SearchStats(nodes=2, prunings={'triple-complete': 2}, elapsed_ms=0.0)"
+    with pytest.raises(AttributeError):
+        stats.extra = 1
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gpcore.KGeoProgression(2, 1, 1, 2), "k must be >= 3, got 2"),
+    (lambda: gpcore.KGeoProgression(3, 0, 1, 2), "a, b, c must be positive"),
+    (lambda: gpcore.KGeoProgression(3, 1, 2, 2), "need b < c for ratio > 1, got b=2, c=2"),
+    (lambda: gpcore.KGeoProgression(3, 1, 2, 4), "ratio 4/2 not in lowest terms"),
+    (lambda: gpcore.KGeoProgression(3, 1, 1, 2**32), "largest term exceeds 64 bits"),
+    (lambda: gpcore.KGeoProgression(65, 1, 1, 2), "largest term exceeds 64 bits"),
+    (lambda: divisor.DivisorSpec(k=2, i=1), "give either k or (i, j), not both"),
+    (lambda: divisor.DivisorSpec(k=0), "k must be >= 1, got 0"),
+    (lambda: divisor.DivisorSpec(i=1), "pair spec needs both i and j"),
+    (lambda: divisor.DivisorSpec(), "pair spec needs both i and j"),
+    (lambda: divisor.DivisorSpec.pair(0, 2), "exponents must be >= 1, got (0, 2)"),
+    (lambda: divisor.Interval(-1, 5), "x must be >= 0, got -1"),
+    (lambda: divisor.Interval(0, 0), "h must be >= 1, got 0"),
+    (lambda: divisor.Interval(2**63 - 5, 5), "interval end exceeds supported width"),
+    (lambda: P.ProcessConfig(P.ProcessKind.SIX_GP, 15, 1), "horizon must be >= 16, got 15"),
+    (lambda: P.ProcessConfig(P.ProcessKind.SIX_GP, 100, -1), "seed must fit in 64 bits"),
+    (lambda: P.ProcessConfig(P.ProcessKind.SIX_GP, 100, 2**64), "seed must fit in 64 bits"),
+])
+def test_validation_errors(make, message):
+    with pytest.raises(DomainError) as exc:
+        make()
+    assert type(exc.value) is DomainError and str(exc.value) == message

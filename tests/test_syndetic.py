@@ -140,7 +140,7 @@ class TestSearchConfigurations:
         assert len({tuple(o.selection) for o in outs}) == 1
 
     def test_budget_exhaustion(self):
-        limits = DEFAULT_LIMITS.with_overrides(search_node_budget=3)
+        limits = DEFAULT_LIMITS._replace(search_node_budget=3)
         out = syndetic.search(
             syndetic.build_instance(640, syndetic.OVERLAPPING), limits=limits)
         assert out.verdict == syndetic.BUDGET_EXHAUSTED
