@@ -8,9 +8,10 @@ Subpackages:
   syndetic  exhaustive pair-selection search on [1, N]
   cli       command-line front end
 
-Import a module to use it (`from gpfree import process`).  Only the vector
-kernel of process.run (and process's bitmap helpers) loads numpy; importing
-process does not.  `import gpfree` loads errors and limits alone, and the
+Import a module to use it (`from gpfree import process`).  Only process.run's
+vector kernel (with process's bitmap helpers) and divisor.mertens_sum load
+numpy, inside the function, so of the cli commands only `process run` and
+`divisor mertens` do.  `import gpfree` loads errors and limits alone, and the
 records of every module are namedtuples, which cost no import beyond
 collections.  A cli command loads only its group's module and that module's
 imports: `gp` loads gpcore, `process` loads process, bounds and gpcore,

@@ -72,7 +72,10 @@ def gap_envelope(x: float, epsilon: float, c_eps: float) -> float:
     _check_positive("epsilon", epsilon)
     _check_positive("C_eps", c_eps)
     lx = math.log(x)
-    return c_eps * _exp((C_2_3 + epsilon) * lx / math.log(lx))
+    v = c_eps * _exp((C_2_3 + epsilon) * lx / math.log(lx))
+    if v == math.inf:
+        raise DomainError(f"C_eps * exp(...) overflows a float at x = {x:g}")
+    return v
 
 
 def survival_bound(x: float, C: float, E: float, epsilon: float) -> float:

@@ -15,10 +15,10 @@ either command, which both run serially.  A --config FILE of key=value lines
 may preset the resource budgets of gpfree.limits.Limits.  A file that cannot
 be read or written exits 1.
 
-Only `process run` imports numpy, inside the command, so its `elapsed_ms`
-includes that import; the payload is unchanged.  Long lists in a payload
-(`rows`, `values`) are written a fixed-size chunk at a time, in JSON and CSV,
-with the same text a one-shot dump would give.
+Only `process run` and `divisor mertens` import numpy, inside the command,
+so their `elapsed_ms` includes that import; the payload is unchanged.  Long
+lists in a payload (`rows`, `values`) are written a fixed-size chunk at a
+time, in JSON and CSV, with the same text a one-shot dump would give.
 """
 
 from __future__ import annotations

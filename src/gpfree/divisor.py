@@ -8,13 +8,12 @@ prime power it contributes the lattice points under i*e + j*f <= alpha.  Both
 are multiplicative, which the test suite confirms against literal pair
 counting.
 
-The module uses the standard library only, so the `divisor` commands start
-without numpy.  `sieve` applies each prime power as list slices over the
-window.  Its prime base, the primes <= sqrt(x+h), comes from an odd-only
-segmented generator over a bytearray and is bounded by
-`Limits.mertens_max_x`; `mertens_sum` streams the same generator into one
-math.fsum.  The pointwise d_k, d_ij and DivisorSpec.of are one weight-driven
-product over `factorize`.
+`sieve` applies each prime power as list slices over the window.  Its prime
+base, the primes <= sqrt(x+h), is picked from the segments of one odd-only
+bytearray sieve, bounded by `Limits.mertens_max_x`.  Only `mertens_sum`, which
+sums 1/p over the same segments as arrays, imports numpy (inside the
+function), so `divisor table` and `sum` start without it.  The pointwise d_k,
+d_ij and DivisorSpec.of are one weight-driven product over `factorize`.
 """
 
 from __future__ import annotations
@@ -22,11 +21,11 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import isqrt
-from operator import add, mul, truediv
+from operator import add, mul
 
 from .errors import DomainError, ResourceLimit
 from .limits import DEFAULT_LIMITS, Limits
@@ -41,8 +40,9 @@ _RUN = 1 << 14  # odd numbers per run that the primes are picked from
 _OFFSETS = list(range(0, 2 * _RUN, 2))
 
 
-def _prime_segments(limit: int) -> Iterator[Iterable[int]]:
-    """Primes <= limit, ascending, one iterable per run of odd numbers.
+def _prime_segments(limit: int) -> Iterator[tuple[int, bytes]]:
+    """Segments (lo, flags) of the primes <= limit, ascending: lo + 2*t is prime
+    exactly when flags[t] is 1.  The first segment is (2, b"\x01").
 
     Odd-only segmented sieve of Eratosthenes: each segment holds up to 2**19
     odd numbers lo, lo+2, ... as bytearray flags, crossed off by slice
@@ -51,7 +51,7 @@ def _prime_segments(limit: int) -> Iterator[Iterable[int]]:
     """
     if limit < 2:
         return
-    yield (2,)
+    yield 2, b"\x01"
     base = primes_upto(isqrt(limit))[1:]
     for lo in range(3, limit + 1, 2 * _SEGMENT):
         hi = min(lo + 2 * _SEGMENT, limit + 1)  # the segment is lo, lo+2, ... < hi
@@ -65,8 +65,7 @@ def _prime_segments(limit: int) -> Iterator[Iterable[int]]:
                 first += p
             marks = range((first - lo) // 2, m, p)
             flags[marks.start :: p] = bytes(len(marks))
-        for c in range(0, m, _RUN):
-            yield map(add, repeat(lo + 2 * c), compress(_OFFSETS, flags[c : c + _RUN]))
+        yield lo, flags
 
 
 @lru_cache(maxsize=8)
@@ -75,7 +74,9 @@ def primes_upto(limit: int) -> array:
 
     The cache hands the same array to every caller, which must not change it.
     """
-    return array("q", chain.from_iterable(_prime_segments(limit)))
+    return array("q", chain.from_iterable(
+        map(add, repeat(lo + 2 * c), compress(_OFFSETS, flags[c : c + _RUN]))
+        for lo, flags in _prime_segments(limit) for c in range(0, len(flags), _RUN)))
 
 
 def _iroot(n: int, k: int) -> int:
@@ -269,8 +270,8 @@ def sum_S(
     that term once per n it belongs to.  fsum is exactly rounded, so the
     order of the terms does not matter and the result is deterministic.
     """
-    if D <= 0:
-        raise DomainError(f"D must be positive, got {D}")
+    if not 0 < D < math.inf:  # written so that NaN fails too
+        raise DomainError(f"D must be positive and finite, got {D}")
     counts = Counter(_sieve_values(interval, DivisorSpec.pair(i, j), limits))
     return math.fsum(chain.from_iterable(
         repeat(math.exp(-D * v), c) for v, c in counts.items()
@@ -280,10 +281,25 @@ def sum_S(
 def mertens_sum(x: int, limits: Limits = DEFAULT_LIMITS) -> float:
     """Sum of 1/p over primes p <= x (the sum behind log log x + O(1)).
 
-    The primes are generated and summed one segment at a time.
+    numpy, imported here, splits each sieve segment's 1/p into exact doubles
+    m * 2**(e-53) with 53-bit ints m (np.frexp).  The m are summed exactly, per
+    exponent e and in 26-bit halves so that no int64 sum overflows; one int/int
+    division rounds the total once, to the double math.fsum over the 1/p gives.
     """
     if x < 3:
         raise DomainError(f"x must be >= 3, got {x}")
     if x > limits.mertens_max_x:
         raise ResourceLimit(f"x = {x} exceeds budget {limits.mertens_max_x}")
-    return math.fsum(map(truediv, repeat(1.0), chain.from_iterable(_prime_segments(x))))
+    import numpy as np
+
+    totals = Counter()
+    for lo, flags in _prime_segments(x):
+        mant, exps = np.frexp(1.0 / (lo + 2.0 * np.flatnonzero(np.frombuffer(flags, dtype=bool))))
+        m = np.ldexp(mant, 53).astype(np.int64)
+        starts = np.flatnonzero(np.diff(exps, prepend=1))  # the p ascend, so the e descend
+        for e, high, low in zip(exps[starts].tolist(),
+                                np.add.reduceat(m >> 26, starts).tolist(),
+                                np.add.reduceat(m & ((1 << 26) - 1), starts).tolist()):
+            totals[e] += (high << 26) + low
+    emin = min(totals)
+    return sum(t << (e - emin) for e, t in totals.items()) / (1 << (53 - emin))

@@ -60,6 +60,13 @@ class TestExpOverflow:
         with pytest.raises(DomainError, match="overflows a float"):
             call()
 
+    def test_envelope_product_overflow_is_a_domain_error(self):
+        # exp(...) is finite (about 35.3 at x = 1e6); only C_eps times it overflows
+        assert bounds.gap_envelope(1e6, 0.1, 1.0) < 36
+        with pytest.raises(DomainError, match="overflows a float"):
+            bounds.gap_envelope(1e6, 0.1, 1e308)
+        assert bounds.gap_envelope(1e6, 0.1, 1e306) < math.inf
+
     def test_largest_finite_exponent_still_evaluates(self):
         # exp overflows just above log(max float) = 709.78
         eps = 709.0 * math.log(math.log(16)) / math.log(16) - bounds.C_2_3

@@ -360,9 +360,14 @@ class TestCleanExits:
         (["bounds", "envelope", "--epsilon", "300", "--c-eps", "1", "--from", "16",
           "--to", "100", "--points", "2"], 1),
         (["process", "gaps", "--in", "{run}", "--epsilon", "300"], 1),
+        (["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1e308", "--from", "1e6",
+          "--to", "1e6", "--points", "1"], 1),
+        (["divisor", "sum", "--i", "2", "--j", "3", "--start", "0", "--len", "5", "--D", "nan"], 1),
+        (["divisor", "sum", "--i", "2", "--j", "3", "--start", "0", "--len", "5", "--D", "inf"], 1),
     ], ids=["terms-token", "input-token", "input-encoding", "out-dir", "max-items-0",
             "points-0", "survival-seed-too-big", "survival-seed-negative",
-            "grid-negative-end", "grid-zero-end", "envelope-exp-overflow", "gaps-exp-overflow"])
+            "grid-negative-end", "grid-zero-end", "envelope-exp-overflow", "gaps-exp-overflow",
+            "envelope-product-overflow", "sum-D-nan", "sum-D-inf"])
     def test_bad_input_exits_cleanly(self, capsys, tmp_path, argv, code):
         (tmp_path / "tokens").write_text("1 x 4\n")
         (tmp_path / "latin1").write_bytes(b"1 \xe9 4\n")
@@ -435,7 +440,7 @@ class TestCleanExits:
         (["divisor", "table", "--k", "2", "--start", "0", "--len", "10"], False),
         (["divisor", "sum", "--i", "2", "--j", "3", "--start", "0", "--len", "10", "--D", "0.5"],
          False),
-        (["divisor", "mertens", "--x", "1000"], False),
+        (["divisor", "mertens", "--x", "1000"], True),
         (["process", "survival", "--kind", "6gp", "--x", "100", "--h", "5", "--trials", "5",
           "--seed", "1"], False),
         (["process", "verify", "--in", "{run}"], False),
@@ -631,6 +636,8 @@ class TestCliFuzz:
     @example(argv=["bounds", "envelope", "--epsilon", "300", "--c-eps", "1", "--from", "16",
                    "--to", "100", "--points", "2"])
     @example(argv=["process", "gaps", "--in", "{run}", "--epsilon", "300"])
+    @example(argv=["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1e308", "--from", "1e6",
+                   "--to", "1e6", "--points", "1"])
     @example(argv=["process", "survival", "--kind", "5gp", "--x", "1000", "--h", "2",
                    "--trials", str(10**20), "--seed", "1"])
     @settings(max_examples=800, deadline=None)
@@ -644,3 +651,5 @@ class TestCliFuzz:
                 code = exc.code
         assert code in (0, 1, 2, 3), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+        # JSON has no infinities or NaNs; json.dumps would write them as these words
+        assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue(), argv

@@ -265,3 +265,29 @@ class TestSums:
 
     def test_mertens_anchor_1e8(self):
         assert divisor.mertens_sum(10**8) == 3.1749752299205256
+
+
+def _fsum_of_reciprocals(x):
+    return math.fsum(1.0 / p for p in divisor.primes_upto(x))
+
+
+class TestMertensBitIdentity:
+    """mertens_sum sums 1/p as integer significands per binary exponent and
+    rounds once; that must be the very double math.fsum gives."""
+
+    def test_every_small_x(self):
+        for x in range(3, 301):
+            assert divisor.mertens_sum(x) == _fsum_of_reciprocals(x), x
+
+    @pytest.mark.parametrize("x", [3 + k * 2**20 + d for k in (1, 2, 3) for d in range(-2, 3)])
+    def test_segment_edges(self, x):  # a segment holds 2**19 odd numbers
+        assert divisor.mertens_sum(x) == _fsum_of_reciprocals(x)
+
+    @pytest.mark.parametrize("x", [2**k + d for k in range(2, 25) for d in (-1, 1)])
+    def test_where_the_exponent_of_1_over_p_steps(self, x):
+        assert divisor.mertens_sum(x) == _fsum_of_reciprocals(x)
+
+    @given(x=st.integers(3, 3 * 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_random_x(self, x):
+        assert divisor.mertens_sum(x) == _fsum_of_reciprocals(x)
