@@ -37,19 +37,11 @@ def _exp(v: float) -> float:
         raise DomainError(f"exp({v:g}) overflows a float") from None
 
 
-def C_ij_scale(i: int, j: int) -> "Fraction":
-    """Exact rational part of C_{i,j}: 1/i + 1/j (the scalar on log 2)."""
-    from fractions import Fraction  # here, so that the envelopes do not import it
-
-    _check_exponents(i, j)
-    return Fraction(1, i) + Fraction(1, j)
-
-
 def C_ij(i: int, j: int) -> float:
     """log(2) * (1/i + 1/j); C_ij(2, 3) is exactly (5/6) log 2.
 
     (i + j) / (i * j) is one correctly rounded int division, the same float
-    as float(C_ij_scale(i, j)).
+    as float(Fraction(1, i) + Fraction(1, j)).
     """
     _check_exponents(i, j)
     return math.log(2) * ((i + j) / (i * j))
@@ -81,8 +73,8 @@ def gap_envelope(x: float, epsilon: float, c_eps: float) -> float:
 def survival_bound(x: float, C: float, E: float, epsilon: float) -> float:
     """exp(-C*E*exp((C_{2,3}+eps) log x / log log x)); C and E are fit parameters."""
     _check_x(x)
-    if not (C >= 0 and E >= 0):
-        raise DomainError("C and E must be nonnegative")
+    if not (0 <= C < math.inf and 0 <= E < math.inf):  # NaN fails too
+        raise DomainError(f"C and E must be nonnegative and finite, got {C} and {E}")
     _check_positive("epsilon", epsilon)
     lx = math.log(x)
     return math.exp(-C * E * _exp((C_2_3 + epsilon) * lx / math.log(lx)))

@@ -9,11 +9,14 @@ Identical command + seed + config produce a byte-identical payload
 (elapsed_ms excluded).  Exit codes: 0 success, 1 domain error or closed
 output pipe, 2 usage error, 3 resource limit.
 
-`process run` and `syndetic search` accept --workers (default: the
-GPFREE_WORKERS environment variable, then the CPU count); it has no effect on
-either command, which both run serially.  A --config FILE of key=value lines
-may preset the resource budgets of gpfree.limits.Limits.  A file that cannot
-be read or written exits 1.
+`process run` and `syndetic search` accept --workers, which has no effect:
+both run serially.  Without --workers, a non-integer GPFREE_WORKERS
+environment variable still exits 2.  Every command that reads a resource
+budget, all but `gp enumerate`, `gp decompose`, `syndetic export` and `bounds
+envelope`, takes a --config FILE of key=value lines presetting the budgets of
+gpfree.limits.Limits.  The commands whose payload has `rows`, `divisor
+table`, `process gaps` and `bounds envelope`, take --format csv, which prints
+the rows alone.  A file that cannot be read or written exits 1.
 
 Only `process run` and `divisor mertens` import numpy, inside the command,
 so their `elapsed_ms` includes that import; the payload is unchanged.  Long
@@ -46,14 +49,13 @@ class UsageError(GPFreeError):
     """Malformed command-line input (exit 2)."""
 
 
-def _default_workers() -> int:
+def _check_workers_env() -> None:
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise UsageError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def _read_text(path: str) -> str:
@@ -79,8 +81,10 @@ def _load_limits(path: str | None) -> Limits:
         value = value.strip()
         if key not in Limits._fields:
             raise GPFreeError(f"unknown config key {key!r}")
-        try:  # every budget is an int but the time budget
+        try:  # every budget is an int but the time budget, where NaN would mean no budget
             overrides[key] = float(value) if key == "search_time_budget_s" else int(value)
+            if overrides[key] != overrides[key]:
+                raise ValueError
         except ValueError:
             raise UsageError(f"config key {key!r} has bad value {value!r}") from None
     return DEFAULT_LIMITS._replace(**overrides)
@@ -96,8 +100,7 @@ def _chunks(items):
 
 
 def _emit(args, payload: dict, seed=None, elapsed_ms: float = 0.0) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and "rows" in payload:
+    if getattr(args, "format", "json") == "csv":  # only commands with rows take --format
         import csv
         import io
         for chunk in chain([[payload["columns"]]], _chunks(payload["rows"])):
@@ -157,14 +160,14 @@ def cmd_gp_decompose(args):
 
 def cmd_gp_contains(args):
     from . import gpcore
-    limits = _load_limits(args.config)
     text = _read_text(args.input)
     try:
         members = sorted({int(tok) for tok in text.split()})
     except ValueError as exc:
         raise GPFreeError(f"bad member in {args.input}: {exc}") from None
-    if members and members[-1] > limits.process_max_n:
-        raise ResourceLimit(f"member {members[-1]} exceeds budget {limits.process_max_n}")
+    budget = args.limits.process_max_n
+    if members and members[-1] > budget:
+        raise ResourceLimit(f"member {members[-1]} exceeds budget {budget}")
     mode = gpcore.INTEGER if args.mode == "int" else gpcore.RATIONAL
     witness = gpcore.contains_gp(members, args.k, mode)
     return {"witness": _gp_payload(witness) if witness else None}
@@ -175,10 +178,9 @@ def cmd_gp_contains(args):
 
 def cmd_divisor_table(args):
     from . import divisor
-    limits = _load_limits(args.config)
     spec = (divisor.DivisorSpec.single(args.k) if args.k is not None
             else divisor.DivisorSpec.pair(args.i, args.j))
-    table = divisor.sieve(divisor.Interval(args.start, args.len), spec, limits)
+    table = divisor.sieve(divisor.Interval(args.start, args.len), spec, args.limits)
     return {
         "interval": {"x": args.start, "h": args.len},
         "spec": table.spec.label(),
@@ -190,15 +192,14 @@ def cmd_divisor_table(args):
 
 def cmd_divisor_sum(args):
     from . import divisor
-    limits = _load_limits(args.config)
-    val = divisor.sum_S(divisor.Interval(args.start, args.len), args.i, args.j, args.D, limits)
+    val = divisor.sum_S(divisor.Interval(args.start, args.len), args.i, args.j, args.D,
+                        args.limits)
     return {"x": args.start, "h": args.len, "i": args.i, "j": args.j, "D": args.D, "S": val}
 
 
 def cmd_divisor_mertens(args):
     from . import divisor
-    limits = _load_limits(args.config)
-    return {"x": args.x, "sum": divisor.mertens_sum(args.x, limits)}
+    return {"x": args.x, "sum": divisor.mertens_sum(args.x, args.limits)}
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,6 @@ def cmd_divisor_mertens(args):
 
 def cmd_process_run(args):
     from . import process
-    limits = _load_limits(args.config)
     cfg = process.ProcessConfig(process.ProcessKind(args.kind), args.n, args.seed)
     created = False
     if args.out:  # find an unwritable --out before the run, not after it
@@ -216,7 +216,7 @@ def cmd_process_run(args):
         except OSError as exc:
             raise GPFreeError(f"cannot write {args.out}: {exc.strerror}") from None
     try:
-        run_ = process.run(cfg, workers=args.workers, limits=limits)
+        run_ = process.run(cfg, limits=args.limits)
     except BaseException:
         if created:  # leave no empty file behind a failed run
             os.remove(args.out)
@@ -235,10 +235,10 @@ def cmd_process_run(args):
 
 def _load_run(args):
     from . import process
-    limits = _load_limits(args.config)
     run_ = process.run_from_json(_read_text(args.infile))
-    if run_.config.n > limits.process_max_n:
-        raise ResourceLimit(f"run horizon {run_.config.n} exceeds budget {limits.process_max_n}")
+    budget = args.limits.process_max_n
+    if run_.config.n > budget:
+        raise ResourceLimit(f"run horizon {run_.config.n} exceeds budget {budget}")
     return run_
 
 
@@ -264,9 +264,8 @@ def cmd_process_verify(args):
 
 def cmd_process_survival(args):
     from . import process
-    limits = _load_limits(args.config)
     est = process.survival_probability(
-        process.ProcessKind(args.kind), args.x, args.h, args.trials, args.seed, limits
+        process.ProcessKind(args.kind), args.x, args.h, args.trials, args.seed, args.limits
     )
     return {
         "kind": est.kind.value, "x": est.x, "h": est.h,
@@ -279,11 +278,11 @@ def cmd_process_survival(args):
 
 def cmd_syndetic_search(args):
     from . import syndetic
-    limits = _load_limits(args.config)
+    limits = args.limits
     if args.budget is not None:
         limits = limits._replace(search_node_budget=args.budget)
     inst = syndetic.build_instance(args.n, args.pairing)
-    out = syndetic.search(inst, workers=args.workers, limits=limits)
+    out = syndetic.search(inst, limits=limits)
     payload = {
         "N": args.n,
         "pairing": args.pairing,
@@ -337,8 +336,7 @@ def _opt(flag: str, type=None, **kw) -> tuple[str, dict]:
 
 _FORMAT = _opt("--format", choices=["json", "csv"], default="json")
 _CONFIG = _opt("--config", default=None, help="key=value budget file")
-_WORKERS = _opt("--workers", int, default=None,
-                help=f"no effect; default: ${WORKERS_ENV} or the CPU count")
+_WORKERS = _opt("--workers", int, default=None, help="no effect: the command runs serially")
 _KIND = _opt("--kind", choices=["6gp", "5gp", "3gp-int"])
 _PAIRING = _opt("--pairing", choices=["disjoint", "overlapping"], default="disjoint")
 _IN = _opt("--in", dest="infile")
@@ -352,42 +350,41 @@ _GROUPS = {
     "bounds": "envelope evaluation",
 }
 
-# Options in --help order.  A handler imports the gpfree modules it runs on first
+# Options in --help order.  --config is on the commands that read a budget, and
+# --format on those whose payload has `rows`.  A handler imports the gpfree modules it runs on first
 # use, so a command loads its own group's module (gp: gpcore; divisor: divisor;
 # process: process, bounds and gpcore; syndetic: syndetic and gpcore; bounds:
 # bounds) and none of the others.
 _COMMANDS = [
     ("gp", "enumerate", cmd_gp_enumerate,
      [_opt("--k", int), _opt("--position", int), _opt("--bound", int),
-      _opt("--max-items", int, default=10000), _FORMAT, _CONFIG]),
-    ("gp", "decompose", cmd_gp_decompose,
-     [_opt("--terms", help="comma-separated integers"), _FORMAT, _CONFIG]),
+      _opt("--max-items", int, default=10000)]),
+    ("gp", "decompose", cmd_gp_decompose, [_opt("--terms", help="comma-separated integers")]),
     ("gp", "contains", cmd_gp_contains,
      [_opt("--k", int), _opt("--mode", choices=["rational", "int"], default="rational"),
-      _opt("--input"), _FORMAT, _CONFIG]),
+      _opt("--input"), _CONFIG]),
     ("divisor", "table", cmd_divisor_table,
      [_opt("--k", int, default=None), _opt("--i", int, default=None),
       _opt("--j", int, default=None), *_WINDOW, _FORMAT, _CONFIG]),
     ("divisor", "sum", cmd_divisor_sum,
-     [_opt("--i", int), _opt("--j", int), *_WINDOW, _opt("--D", float), _FORMAT, _CONFIG]),
-    ("divisor", "mertens", cmd_divisor_mertens, [_opt("--x", int), _FORMAT, _CONFIG]),
+     [_opt("--i", int), _opt("--j", int), *_WINDOW, _opt("--D", float), _CONFIG]),
+    ("divisor", "mertens", cmd_divisor_mertens, [_opt("--x", int), _CONFIG]),
     ("process", "run", cmd_process_run,
      [_KIND, _opt("--n", int), _opt("--seed", int), _opt("--out", default=None),
-      _FORMAT, _CONFIG, _WORKERS]),
+      _CONFIG, _WORKERS]),
     ("process", "gaps", cmd_process_gaps, [_IN, _opt("--epsilon", float), _FORMAT, _CONFIG]),
-    ("process", "verify", cmd_process_verify, [_IN, _FORMAT, _CONFIG]),
+    ("process", "verify", cmd_process_verify, [_IN, _CONFIG]),
     ("process", "survival", cmd_process_survival,
      [_KIND, _opt("--x", int), _opt("--h", int), _opt("--trials", int), _opt("--seed", int),
-      _FORMAT, _CONFIG]),
+      _CONFIG]),
     ("syndetic", "search", cmd_syndetic_search,
      [_opt("--n", int), _PAIRING, _opt("--budget", int, default=None, help="node budget"),
-      _FORMAT, _CONFIG, _WORKERS]),
-    ("syndetic", "export", cmd_syndetic_export,
-     [_opt("--n", int), _PAIRING, _opt("--format", choices=["dimacs"], default="dimacs")]),
+      _CONFIG, _WORKERS]),
+    ("syndetic", "export", cmd_syndetic_export, [_opt("--n", int), _PAIRING]),
     ("bounds", "envelope", cmd_bounds_envelope,
      [_opt("--epsilon", float), _opt("--c-eps", float, dest="c_eps"),
       _opt("--from", float, dest="x0"), _opt("--to", float, dest="x1"), _opt("--points", int),
-      _FORMAT, _CONFIG]),
+      _FORMAT]),
 ]
 
 
@@ -421,7 +418,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         if getattr(args, "workers", 1) is None:
-            args.workers = _default_workers()
+            _check_workers_env()
+        if "config" in args:
+            args.limits = _load_limits(args.config)
         payload = args.func(args)
         if payload is not None:
             _emit(args, payload, seed=getattr(args, "seed", None),

@@ -26,7 +26,7 @@ from enum import Enum
 from itertools import compress, islice
 from math import isqrt
 from operator import ge, sub
-from typing import Callable, Optional
+from typing import Optional
 
 from .bounds import gap_envelope, p_default
 from .errors import DomainError, ResourceLimit, TooFewSurvivors
@@ -198,25 +198,17 @@ def _below_p(u, larger: np.ndarray) -> np.ndarray:
     return below
 
 
-def run(
-    config: ProcessConfig,
-    workers: int = 1,
-    limits: Limits = DEFAULT_LIMITS,
-    coin_fn: Optional[Callable[..., "np.ndarray | float"]] = None,
-) -> ProcessRun:
+def run(config: ProcessConfig, workers: int = 1, limits: Limits = DEFAULT_LIMITS) -> ProcessRun:
     """Execute one process realization.
 
     One vectorized pass over the progressions, at most _CHUNK at a time.
-    `workers` is accepted for compatibility and has no effect.  `coin_fn`
-    replaces the hashed coins: it gets (seed, k, a, b, c) with array a, b, c
-    and returns coins in [0, 1), an array or one scalar for all.
+    `workers` is accepted for compatibility and has no effect.
     """
     import numpy as np
     cap = min(limits.process_max_n, 3 * 10**9)  # terms are <= n**2 and must fit int64
     if config.n > cap:
         raise ResourceLimit(f"horizon {config.n} exceeds budget {cap}")
     n, seed = config.n, config.seed
-    coins = _coin_array if coin_fn is None else coin_fn
     k, _, (sb, sc), (lb, lc), biased = _FAMILY[config.kind]
     hit = np.zeros(n + 1, dtype=bool)
     dropped = 0
@@ -224,7 +216,7 @@ def run(
         w_smaller, w_larger = b**sb * c**sc, b**lb * c**lc
         for a, i in _progressions(n // w_smaller):
             smaller, larger = a * w_smaller[i], a * w_larger[i]
-            u = coins(seed, k, a, b[i], c[i])
+            u = _coin_array(seed, k, a, b[i], c[i])
             if biased:
                 removed = np.where(_below_p(u, larger), larger, smaller)
             else:

@@ -303,7 +303,7 @@ def search(
     The search is serial; `workers` is accepted and has no effect.  Verdict,
     counterexample witness and statistics are deterministic, apart from
     elapsed_ms.  Counterexamples are re-checked through verify_selection
-    before being returned.
+    before being returned; one that fails the check raises RuntimeError.
     """
     t0 = time.perf_counter()
     eng = _Engine(instance, limits)
@@ -312,5 +312,6 @@ def search(
     eng.stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if sel is not None:
         witness = verify_selection(instance, sel)
-        assert witness is None, "engine produced an invalid counterexample"
+        if witness is not None:
+            raise RuntimeError(f"engine produced an invalid counterexample: {witness} is a 3-GP")
     return SearchOutcome(verdict, eng.stats, sel)

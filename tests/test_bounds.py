@@ -21,8 +21,9 @@ def mp_C(i, j):
 
 class TestConstants:
     def test_scale_is_exact_rational(self):
-        assert bounds.C_ij_scale(2, 3) == Fraction(5, 6)
-        assert bounds.C_ij_scale(1, 1) == Fraction(2, 1)
+        # C_ij is log 2 times the double nearest the rational 1/i + 1/j
+        assert bounds.C_ij(2, 3) == math.log(2) * float(Fraction(5, 6))
+        assert bounds.C_ij(1, 1) == math.log(2) * 2
 
     def test_C_11(self):
         assert bounds.C_ij(1, 1) == pytest.approx(2 * math.log(2), rel=REL)
@@ -38,13 +39,14 @@ class TestConstants:
         with pytest.raises(DomainError):
             bounds.C_ij(0, 3)
         with pytest.raises(DomainError):
-            bounds.C_ij_scale(2, 0)
+            bounds.C_ij(2, 0)
 
     def test_float_division_is_the_rounded_fraction(self):
         # (i + j) / (i * j) rounds once, as float(Fraction) does: the same bits
         for i in range(1, 60):
             for j in range(1, 60):
-                assert bounds.C_ij(i, j) == math.log(2) * float(bounds.C_ij_scale(i, j)), (i, j)
+                scale = Fraction(1, i) + Fraction(1, j)
+                assert bounds.C_ij(i, j) == math.log(2) * float(scale), (i, j)
         assert bounds.C_2_3 == math.log(2) * float(Fraction(5, 6))
 
 
@@ -182,6 +184,13 @@ class TestSurvivalBound:
             bounds.survival_bound(1e4, math.nan, 1.0, 0.1)
         with pytest.raises(DomainError):
             bounds.survival_bound(1e4, 1.0, math.nan, 0.1)
+
+    @pytest.mark.parametrize("C, E", [(math.inf, 0.0), (0.0, math.inf), (math.inf, 1.0),
+                                      (1.0, math.inf)])
+    def test_rejects_infinite_fit_parameters(self, C, E):
+        # inf * 0 would make the bound NaN, and inf * positive the bound 0
+        with pytest.raises(DomainError):
+            bounds.survival_bound(16, C, E, 0.1)
 
 
 class TestPDefault:

@@ -213,8 +213,7 @@ class TestSyndetic:
         assert doc["payload"]["verdict"] == "exhausted"
 
     def test_export_dimacs(self, capsys):
-        code, out = run_cli(capsys, "syndetic", "export", "--n", "10",
-                            "--format", "dimacs")
+        code, out = run_cli(capsys, "syndetic", "export", "--n", "10")
         assert code == 0
         clauses = [ln for ln in out.splitlines()
                    if ln and not ln.startswith(("c", "p"))]
@@ -296,11 +295,16 @@ class TestCleanExits:
 
     def test_non_integer_config_value_exit_2(self, capsys, tmp_path):
         f = tmp_path / "limits.conf"
-        f.write_text("process_max_n = lots\n")
-        code = cli.main(["process", "run", "--kind", "6gp", "--n", "100", "--seed", "1",
-                         "--config", str(f)])
-        assert code == 2
-        assert "process_max_n" in self._err_line(capsys)
+        for key, value, argv in [
+            ("process_max_n", "lots", ["process", "run", "--kind", "6gp", "--n", "100",
+                                       "--seed", "1"]),
+            # NaN compares false with every elapsed time, so it would mean no budget
+            ("search_time_budget_s", "nan", ["syndetic", "search", "--n", "640",
+                                             "--pairing", "overlapping"]),
+        ]:
+            f.write_text(f"{key} = {value}\n")
+            assert cli.main([*argv, "--config", str(f)]) == 2
+            assert key in self._err_line(capsys)
 
     @pytest.mark.parametrize("sub", ["verify", "gaps"])
     def test_tampered_run_file_exit_1(self, capsys, tmp_path, sub):
@@ -540,6 +544,7 @@ def _fuzz_files(root):
         "config": "process_max_n = 5000\nsearch_node_budget = 50\n",
         "tiny": "process_max_n = 100\n",
         "bad_config": "process_max_n = lots\n",
+        "nan_config": "search_time_budget_s = nan\n",
     }
     paths = {"missing": str(root / "absent"), "out": str(root / "out.json"),
              "out_dir": str(root / "absent" / "out.json")}
@@ -581,44 +586,47 @@ def _argv(words, *options):
     return st.tuples(*drawn).map(lambda parts: words + [t for p in parts for t in p])
 
 
-_CONFIG = ("--config", _files("config", "tiny", "bad_config"))
+_CONFIG = ("--config", _files("config", "tiny", "bad_config", "nan_config"))
 _FORMAT = ("--format", st.sampled_from(["json", "csv", "xml"]))
 _KIND = ("--kind", st.sampled_from(["6gp", "5gp", "3gp-int", "7gp"]))
 _SEED = ("--seed", _ints(0, 2**64 - 1))
 _PAIRING = ("--pairing", st.sampled_from(["disjoint", "overlapping", "none"]))
 _WINDOW = [("--start", _ints(0, 10**6)), ("--len", _ints(1, 1000))]
 
-# Sizes are capped where the CLI has no budget yet (ROADMAP item 6):
+# Every option of every command, as in cli._COMMANDS (TestOptionTable checks the
+# flags).  Sizes are capped where the CLI has no budget yet (ROADMAP item 6):
 # `syndetic --n`, `gp enumerate --bound` and `--max-items`, and `bounds envelope
 # --points` take no huge values.
-_COMMANDS = st.one_of(
-    _argv(["gp", "enumerate"], ("--k", _ints(1, 7)), ("--position", _ints(0, 6)),
-          ("--bound", _ints(1, 1000, huge=False)), ("--max-items", _ints(1, 1000, huge=False)),
-          _FORMAT),
-    _argv(["gp", "decompose"], ("--terms", st.lists(_ints(1, 500), max_size=6).map(",".join))),
-    _argv(["gp", "contains"], ("--k", _ints(1, 7)),
-          ("--mode", st.sampled_from(["rational", "int", "real"])),
-          ("--input", _files("members", "huge_members", "tokens")), _CONFIG),
-    _argv(["divisor", "table"], ("--k", _ints(1, 5)), ("--i", _ints(1, 4)), ("--j", _ints(1, 4)),
-          *_WINDOW, _CONFIG, _FORMAT),
-    _argv(["divisor", "sum"], ("--i", _ints(1, 4)), ("--j", _ints(1, 4)), *_WINDOW,
-          ("--D", _floats(0, 2)), _CONFIG),
-    _argv(["divisor", "mertens"], ("--x", _ints(1, 10**5)), _CONFIG),
-    _argv(["process", "run"], _KIND, ("--n", _ints(1, 2000)), _SEED,
-          ("--out", _files("out", "out_dir")), ("--workers", _ints(1, 4)), _CONFIG),
-    _argv(["process", "gaps"], ("--in", _files("run", "huge_run", "bad_run", "members")),
-          ("--epsilon", _floats(0.01, 5)), _CONFIG),
-    _argv(["process", "verify"], ("--in", _files("run", "huge_run", "bad_run", "members")),
-          _CONFIG),
-    _argv(["process", "survival"], _KIND, ("--x", _ints(1, 10**4)), ("--h", _ints(1, 1000)),
-          ("--trials", _ints(1, 20)), _SEED, _CONFIG),
-    _argv(["syndetic", "search"], ("--n", _ints(1, 2000, huge=False)), _PAIRING,
-          ("--budget", _ints(1, 1000)), ("--workers", _ints(1, 4)), _CONFIG),
-    _argv(["syndetic", "export"], ("--n", _ints(1, 2000, huge=False)), _PAIRING),
-    _argv(["bounds", "envelope"], ("--epsilon", _floats(0.01, 5)), ("--c-eps", _floats(0.01, 5)),
-          ("--from", _floats(16, 1e6)), ("--to", _floats(16, 1e6)),
-          ("--points", _ints(1, 50, huge=False)), _FORMAT),
-)
+_FUZZED = {
+    ("gp", "enumerate"): [("--k", _ints(1, 7)), ("--position", _ints(0, 6)),
+                          ("--bound", _ints(1, 1000, huge=False)),
+                          ("--max-items", _ints(1, 1000, huge=False))],
+    ("gp", "decompose"): [("--terms", st.lists(_ints(1, 500), max_size=6).map(",".join))],
+    ("gp", "contains"): [("--k", _ints(1, 7)),
+                         ("--mode", st.sampled_from(["rational", "int", "real"])),
+                         ("--input", _files("members", "huge_members", "tokens")), _CONFIG],
+    ("divisor", "table"): [("--k", _ints(1, 5)), ("--i", _ints(1, 4)), ("--j", _ints(1, 4)),
+                           *_WINDOW, _CONFIG, _FORMAT],
+    ("divisor", "sum"): [("--i", _ints(1, 4)), ("--j", _ints(1, 4)), *_WINDOW,
+                         ("--D", _floats(0, 2)), _CONFIG],
+    ("divisor", "mertens"): [("--x", _ints(1, 10**5)), _CONFIG],
+    ("process", "run"): [_KIND, ("--n", _ints(1, 2000)), _SEED,
+                         ("--out", _files("out", "out_dir")), ("--workers", _ints(1, 4)),
+                         _CONFIG],
+    ("process", "gaps"): [("--in", _files("run", "huge_run", "bad_run", "members")),
+                          ("--epsilon", _floats(0.01, 5)), _CONFIG, _FORMAT],
+    ("process", "verify"): [("--in", _files("run", "huge_run", "bad_run", "members")),
+                            _CONFIG],
+    ("process", "survival"): [_KIND, ("--x", _ints(1, 10**4)), ("--h", _ints(1, 1000)),
+                              ("--trials", _ints(1, 20)), _SEED, _CONFIG],
+    ("syndetic", "search"): [("--n", _ints(1, 2000, huge=False)), _PAIRING,
+                             ("--budget", _ints(1, 1000)), ("--workers", _ints(1, 4)), _CONFIG],
+    ("syndetic", "export"): [("--n", _ints(1, 2000, huge=False)), _PAIRING],
+    ("bounds", "envelope"): [("--epsilon", _floats(0.01, 5)), ("--c-eps", _floats(0.01, 5)),
+                             ("--from", _floats(16, 1e6)), ("--to", _floats(16, 1e6)),
+                             ("--points", _ints(1, 50, huge=False)), _FORMAT],
+}
+_COMMANDS = st.one_of(*(_argv(list(cmd), *options) for cmd, options in _FUZZED.items()))
 
 
 class TestCliFuzz:
@@ -653,3 +661,69 @@ class TestCliFuzz:
         assert "Traceback" not in err.getvalue(), argv
         # JSON has no infinities or NaNs; json.dumps would write them as these words
         assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue(), argv
+
+
+def _flags(options):
+    return {flag for flag, _ in options}
+
+
+class TestOptionTable:
+    """Each command reads every option it takes: --config sets a budget that the
+    command checks, and --format csv changes what it prints."""
+
+    # the rest of an argv that exits 0, and a one-line budget file that makes it exit 3
+    BUDGETED = {
+        ("gp", "contains"): (["--k", "3", "--input", "{members}"], "process_max_n = 100"),
+        ("divisor", "table"): (["--k", "2", "--start", "0", "--len", "10"], "sieve_max_len = 5"),
+        ("divisor", "sum"): (["--i", "2", "--j", "3", "--start", "0", "--len", "10",
+                              "--D", "0.5"], "sieve_max_len = 5"),
+        ("divisor", "mertens"): (["--x", "1000"], "mertens_max_x = 100"),
+        ("process", "run"): (["--kind", "6gp", "--n", "200", "--seed", "1"],
+                             "process_max_n = 100"),
+        ("process", "gaps"): (["--in", "{run}", "--epsilon", "0.5"], "process_max_n = 100"),
+        ("process", "verify"): (["--in", "{run}"], "process_max_n = 100"),
+        ("process", "survival"): (["--kind", "6gp", "--x", "100", "--h", "5", "--trials", "5",
+                                   "--seed", "1"], "survival_max_trials = 4"),
+        ("syndetic", "search"): (["--n", "640", "--pairing", "overlapping"],
+                                 "search_node_budget = 5"),
+    }
+    # the rest of an argv whose payload has rows
+    WITH_ROWS = {
+        ("divisor", "table"): ["--k", "2", "--start", "0", "--len", "10"],
+        ("process", "gaps"): ["--in", "{run}", "--epsilon", "0.5"],
+        ("bounds", "envelope"): ["--epsilon", "0.1", "--c-eps", "1", "--from", "16",
+                                 "--to", "1e6", "--points", "3"],
+    }
+
+    @staticmethod
+    def _carrying(flag):
+        return {(group, leaf) for group, leaf, _, options in cli._COMMANDS
+                if flag in _flags(options)}
+
+    def test_lists_match_the_table(self):
+        assert set(self.BUDGETED) == self._carrying("--config")
+        assert set(self.WITH_ROWS) == self._carrying("--format")
+
+    def test_fuzz_draws_every_option(self):
+        table = {(group, leaf): _flags(options) for group, leaf, _, options in cli._COMMANDS}
+        assert {cmd: _flags(options) for cmd, options in _FUZZED.items()} == table
+
+    @pytest.mark.parametrize("cmd", sorted(BUDGETED), ids=" ".join)
+    def test_config_budget_is_read(self, capsys, tmp_path, cmd):
+        paths = _fuzz_files(tmp_path)
+        rest, line = self.BUDGETED[cmd]
+        argv = [*cmd, *(a.format(**paths) for a in rest)]
+        assert cli.main(argv) == 0
+        (tmp_path / "budget.cfg").write_text(line + "\n")
+        assert cli.main([*argv, "--config", str(tmp_path / "budget.cfg")]) == 3
+        assert capsys.readouterr().err.startswith("resource limit: ")
+
+    @pytest.mark.parametrize("cmd", sorted(WITH_ROWS), ids=" ".join)
+    def test_csv_is_not_json(self, capsys, tmp_path, cmd):
+        paths = _fuzz_files(tmp_path)
+        argv = [*cmd, *(a.format(**paths) for a in self.WITH_ROWS[cmd])]
+        code, out = run_cli(capsys, *argv)
+        columns = json.loads(out)["payload"]["columns"]
+        code_csv, out_csv = run_cli(capsys, *argv, "--format", "csv")
+        assert code == code_csv == 0 and out_csv != out
+        assert out_csv.splitlines()[0] == ",".join(columns)

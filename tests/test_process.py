@@ -93,10 +93,11 @@ class TestRuns:
         with pytest.raises(DomainError):
             cfg(K6, 15, 1)
 
-    def test_5gp_forced_coin_removes_third_term(self):
+    def test_5gp_forced_coin_removes_third_term(self, monkeypatch):
         # coin forced to 0 is always below the removal threshold p, so the
         # third term a*b^2*c^2 is removed on every GP's account.
-        run = process.run(cfg(K5, 200, 1), coin_fn=lambda *a: 0.0)
+        monkeypatch.setattr(process, "_coin_array", lambda *a: 0.0)
+        run = process.run(cfg(K5, 200, 1))
         gp = gpcore.KGeoProgression(5, 1, 1, 2)  # [1,2,4,8,16]
         assert gp.term_at(2) in run.removed_set()
         for g in gpcore.enumerate_gps(5, 1, 200):
@@ -137,7 +138,7 @@ class TestScalarReference:
 
     @pytest.mark.parametrize("kind", [K5, K3])
     @pytest.mark.parametrize("below", [False, True])
-    def test_coin_on_the_threshold(self, kind, below):
+    def test_coin_on_the_threshold(self, kind, below, monkeypatch):
         # every coin sits exactly on its math.log threshold (not below it, so
         # the smaller term goes) or one ulp under it (the larger term goes);
         # np.log and math.log disagree in the last bit for some terms here
@@ -145,11 +146,12 @@ class TestScalarReference:
             t = 1.0 - 1.0 / math.log(_larger_term(k, a, b, c) + 2)
             return math.nextafter(t, 0.0) if below else t
 
-        def coin_fn(seed, k, a, b, c):
+        def coins(seed, k, a, b, c):
             return np.array([thr(k, *v) for v in zip(a.tolist(), b.tolist(), c.tolist())])
 
+        monkeypatch.setattr(process, "_coin_array", coins)
         n = 3000
-        run = process.run(cfg(kind, n, 1), coin_fn=coin_fn)
+        run = process.run(cfg(kind, n, 1))
         assert (run.removed, run.dropped_outside) == brute_removal(kind.value, n, 1, coin=thr)
         want = brute_removal(kind.value, n, 1, coin=lambda *_: 0.0 if below else 1.0)
         assert (run.removed, run.dropped_outside) == want

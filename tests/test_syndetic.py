@@ -133,6 +133,12 @@ class TestSearchConfigurations:
         assert out.verdict == syndetic.COUNTEREXAMPLE
         assert syndetic.verify_selection(inst, out.selection) is None
 
+    def test_invalid_counterexample_raises(self, monkeypatch):
+        # the re-check is an explicit raise, which `python -O` keeps
+        monkeypatch.setattr(syndetic, "verify_selection", lambda inst, sel: (1, 2, 4))
+        with pytest.raises(RuntimeError, match="invalid counterexample"):
+            syndetic.search(syndetic.build_instance(4, syndetic.DISJOINT))
+
     def test_worker_verdict_invariance(self):
         inst = syndetic.build_instance(200, syndetic.DISJOINT)
         outs = [syndetic.search(inst, workers=w) for w in (1, 2, 8)]
