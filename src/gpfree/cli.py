@@ -278,11 +278,8 @@ def cmd_process_survival(args):
 
 def cmd_syndetic_search(args):
     from . import syndetic
-    limits = args.limits
-    if args.budget is not None:
-        limits = limits._replace(search_node_budget=args.budget)
     inst = syndetic.build_instance(args.n, args.pairing)
-    out = syndetic.search(inst, limits=limits)
+    out = syndetic.search(inst, limits=args.limits)
     payload = {
         "N": args.n,
         "pairing": args.pairing,
@@ -315,14 +312,18 @@ def cmd_bounds_envelope(args):
     bounds._check_x(args.x1)
     # geometric grid from x0 to x1 inclusive
     ratio = (args.x1 / args.x0) ** (1.0 / max(args.points - 1, 1))
-    xs = [args.x0 * ratio**p for p in range(args.points)]
-    rows = [[x, bounds.gap_envelope(x, args.epsilon, args.c_eps)] for x in xs]
+    # the envelope grows with x >= 16, so if any row overflows an end row does:
+    # evaluate both ends before _emit writes the first row
+    for p in {0, args.points - 1}:
+        bounds.gap_envelope(args.x0 * ratio**p, args.epsilon, args.c_eps)
+    xs = (args.x0 * ratio**p for p in range(args.points))
+    rows = ([x, bounds.gap_envelope(x, args.epsilon, args.c_eps)] for x in xs)
     return {
         "C_2_3": bounds.C_2_3,
         "epsilon": args.epsilon,
         "c_eps": args.c_eps,
         "columns": ["x", "value"],
-        "rows": rows,
+        "rows": rows,  # streamed by _emit
     }
 
 
@@ -378,8 +379,7 @@ _COMMANDS = [
      [_KIND, _opt("--x", int), _opt("--h", int), _opt("--trials", int), _opt("--seed", int),
       _CONFIG]),
     ("syndetic", "search", cmd_syndetic_search,
-     [_opt("--n", int), _PAIRING, _opt("--budget", int, default=None, help="node budget"),
-      _CONFIG, _WORKERS]),
+     [_opt("--n", int), _PAIRING, _CONFIG, _WORKERS]),
     ("syndetic", "export", cmd_syndetic_export, [_opt("--n", int), _PAIRING]),
     ("bounds", "envelope", cmd_bounds_envelope,
      [_opt("--epsilon", float), _opt("--c-eps", float, dest="c_eps"),

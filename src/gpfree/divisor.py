@@ -191,8 +191,7 @@ class DivisorTable(namedtuple("DivisorTable", "interval spec values")):
     __slots__ = ()
 
     def rows(self):
-        for t, v in enumerate(self.values):
-            yield self.interval.x + 1 + t, v
+        return zip(range(self.interval.x + 1, self.interval.x + self.interval.h + 1), self.values)
 
 
 def _sieve_values(interval: Interval, spec: DivisorSpec, limits: Limits) -> list[int]:

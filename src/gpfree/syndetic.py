@@ -13,9 +13,9 @@ The engine is a DPLL-style backtracker over the pairs in ascending order,
 iterative so that its depth is not bounded by Python's recursion limit.
 Propagation rules:
   * a triple with two chosen members forbids its third member;
-  * a forbidden element forces its pair neighbors (partner in disjoint mode,
-    both adjacent integers in overlapping mode) to be chosen;
-  * in disjoint mode a chosen element forbids its partner.
+  * a forbidden element forces the other element of every pair holding it
+    to be chosen;
+  * in disjoint mode a chosen element forbids the other element of its pair.
 Elements belonging to no triple are chosen greedily up front: adding such an
 element to any valid selection keeps it valid, so the restriction is sound
 for both verdicts.
@@ -118,39 +118,27 @@ def export_dimacs(instance: SearchInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Budget:
-    __slots__ = ("nodes", "deadline")
-
-    def __init__(self, limits: Limits):
-        self.nodes = limits.search_node_budget
-        self.deadline = (
-            time.monotonic() + limits.search_time_budget_s
-            if limits.search_time_budget_s is not None
-            else None
-        )
-
-    def exceeded(self, nodes_used: int) -> bool:
-        if self.nodes is not None and nodes_used > self.nodes:
-            return True
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            return True
-        return False
-
-
 class _Engine:
-    """Backtracking core shared by both pairings."""
+    """Backtracking core shared by both pairings.
+
+    Both propagation rules read the pairing from one table built from
+    instance.pairs: mates[e] is the other element of each pair holding e, in
+    pair order (the partner in disjoint mode; e - 1 and e + 1, where in [1, N],
+    in overlapping mode).  The node and time budgets are two fields that dfs
+    checks at every node.
+    """
 
     def __init__(self, instance: SearchInstance, limits: Limits):
+        seconds = limits.search_time_budget_s
+        self.deadline = None if seconds is None else time.monotonic() + seconds
+        self.node_budget = limits.search_node_budget
         self.inst = instance
-        self.budget = _Budget(limits)
         self.disjoint = instance.pairing == DISJOINT
-        n = instance.n
-        self.n = n
-        if self.disjoint:
-            self.partner = [0] * (n + 1)
-            for e1, e2 in instance.pairs:
-                self.partner[e1] = e2
-                self.partner[e2] = e1
+        self.n = n = instance.n
+        self.mates = mates = [[] for _ in range(n + 1)]
+        for e1, e2 in instance.pairs:
+            mates[e1].append(e2)
+            mates[e2].append(e1)
         self.state = bytearray(n + 1)
         self.tcount = [0] * len(instance.triples)
         self.trail: list[int] = []  # signed: +e set IN, -e set OUT
@@ -167,8 +155,8 @@ class _Engine:
             return False
         state[e] = _IN
         self.trail.append(e)
-        if self.disjoint:
-            queue.append(-self.partner[e])
+        if self.disjoint:  # exactly one of each pair
+            queue.append(-self.mates[e][0])
         tcount = self.tcount
         member = self.inst.member[e]
         complete = False
@@ -197,14 +185,7 @@ class _Engine:
             return False
         state[e] = _OUT
         self.trail.append(-e)
-        if self.disjoint:
-            queue.append(self.partner[e])
-        else:
-            # both overlapping pairs through e now need their other element
-            if e > 1:
-                queue.append(e - 1)
-            if e < self.n:
-                queue.append(e + 1)
+        queue.extend(self.mates[e])  # every pair through e now needs its other element
         return True
 
     def assign(self, lit: int) -> bool:
@@ -253,12 +234,11 @@ class _Engine:
     def branch_literals(self, i: int) -> list[int]:
         """Decision literals for pair i; each branch decides >= 1 element."""
         e1, e2 = self.inst.pairs[i]
-        s1, s2 = self.state[e1], self.state[e2]
         if self.disjoint:
             # pair untouched (propagation keeps pairs atomic in disjoint mode)
             return [e1, e2]
         # overlapping: branch on the first undecided element of the pair
-        e = e1 if s1 == _UNDEC else e2
+        e = e1 if self.state[e1] == _UNDEC else e2
         return [-e, e]  # try OUT first: it forces both neighbors IN
 
     def dfs(self) -> str:
@@ -268,6 +248,7 @@ class _Engine:
         time a frame is resumed it undoes to its mark, then tries its next
         literal: the undo order of the plain recursive backtracker.
         """
+        budget, deadline = self.node_budget, self.deadline
         stack = []
         i = 0
         while True:
@@ -275,7 +256,8 @@ class _Engine:
             if i < 0:
                 return COUNTEREXAMPLE
             self.stats.nodes += 1
-            if self.budget.exceeded(self.stats.nodes):
+            if ((budget is not None and self.stats.nodes > budget)
+                    or (deadline is not None and time.monotonic() > deadline)):
                 return BUDGET_EXHAUSTED
             stack.append((i, iter(self.branch_literals(i)), len(self.trail)))
             while stack:

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -219,9 +220,18 @@ class TestSyndetic:
                    if ln and not ln.startswith(("c", "p"))]
         assert len(clauses) == 9
 
-    def test_budget_exit_3(self, capsys):
+    def test_budget_option_gone_exit_2(self, capsys):
+        # the node budget is set through --config alone (TestOptionTable)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["syndetic", "search", "--n", "640", "--budget", "5", "--workers", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+    def test_time_budget_exit_3(self, capsys, tmp_path):
+        f = tmp_path / "limits.conf"
+        f.write_text("search_time_budget_s = -1.0\n")
         code, _ = run_cli(capsys, "syndetic", "search", "--n", "640",
-                          "--budget", "5", "--workers", "1")
+                          "--pairing", "overlapping", "--config", str(f))
         assert code == 3
 
     def test_payload_byte_identical_across_workers(self, capsys):
@@ -246,6 +256,28 @@ class TestBounds:
         code, out = run_cli(capsys, "bounds", "envelope", *bad, "--from", "16",
                             "--to", "1e6", "--points", "3")
         assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("ends", [("16", "1e12"), ("1e12", "16")])
+    def test_far_end_overflow_writes_nothing(self, capsys, ends):
+        # only the rows near 1e12 overflow; the first rows must not be written
+        code, out = run_cli(capsys, "bounds", "envelope", "--epsilon", "0.1",
+                            "--c-eps", "1e306", "--from", ends[0], "--to", ends[1],
+                            "--points", "1000")
+        assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rows_streamed(self, fmt):
+        # holding every row and the whole text took about 17 MB at 100,000 points
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
+                code = cli.main(["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1",
+                                 "--from", "16", "--to", "1e6", "--points", "100000",
+                                 "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 10e6
 
     def test_unknown_command_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -620,7 +652,7 @@ _FUZZED = {
     ("process", "survival"): [_KIND, ("--x", _ints(1, 10**4)), ("--h", _ints(1, 1000)),
                               ("--trials", _ints(1, 20)), _SEED, _CONFIG],
     ("syndetic", "search"): [("--n", _ints(1, 2000, huge=False)), _PAIRING,
-                             ("--budget", _ints(1, 1000)), ("--workers", _ints(1, 4)), _CONFIG],
+                             ("--workers", _ints(1, 4)), _CONFIG],
     ("syndetic", "export"): [("--n", _ints(1, 2000, huge=False)), _PAIRING],
     ("bounds", "envelope"): [("--epsilon", _floats(0.01, 5)), ("--c-eps", _floats(0.01, 5)),
                              ("--from", _floats(16, 1e6)), ("--to", _floats(16, 1e6)),

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import pathlib
+
 import pytest
 
 from gpfree import syndetic
@@ -152,6 +156,14 @@ class TestSearchConfigurations:
         assert out.verdict == syndetic.BUDGET_EXHAUSTED
         assert out.selection is None
 
+    def test_time_budget_exhaustion(self):
+        # a deadline already past stops the search at its first node
+        limits = DEFAULT_LIMITS._replace(search_time_budget_s=-1.0)
+        out = syndetic.search(
+            syndetic.build_instance(640, syndetic.OVERLAPPING), limits=limits)
+        assert (out.verdict, out.stats.nodes, out.selection) == (
+            syndetic.BUDGET_EXHAUSTED, 1, None)
+
     def test_stats_reported(self):
         out = syndetic.search(syndetic.build_instance(40, syndetic.DISJOINT))
         assert out.stats.nodes >= 1
@@ -194,3 +206,38 @@ class TestHeadlineSizes:
         planted = (chosen - {partner}) | {missing[0]}
         violation = brute_selection_violation(640, "disjoint", planted)
         assert violation is not None and violation[0] == "3gp"
+
+
+_SNAPSHOTS = json.loads(
+    (pathlib.Path(__file__).with_name("syndetic_snapshots.json")).read_text())
+
+
+def _instance(key):
+    pairing, n, *_ = key.split()
+    return syndetic.build_instance(int(n), pairing)
+
+
+class TestSnapshots:
+    """Verdicts, statistics, witnesses, DIMACS text and node-budget cut-offs, pinned
+    from an earlier engine: every even N in 4..200 and 638, 640, 1280, 2560, 5120 and
+    10000 under both pairings."""
+
+    @pytest.mark.parametrize("key", sorted(_SNAPSHOTS["searches"]))
+    def test_search(self, key):
+        out = syndetic.search(_instance(key))
+        witness = None if out.selection is None else list(out.selection)
+        assert {"verdict": out.verdict, "nodes": out.stats.nodes,
+                "prunings": out.stats.prunings, "witness": witness,
+                } == _SNAPSHOTS["searches"][key]
+
+    @pytest.mark.parametrize("key", sorted(_SNAPSHOTS["dimacs_sha256"]))
+    def test_dimacs(self, key):
+        text = syndetic.export_dimacs(_instance(key))
+        assert hashlib.sha256(text.encode()).hexdigest() == _SNAPSHOTS["dimacs_sha256"][key]
+
+    @pytest.mark.parametrize("key", sorted(_SNAPSHOTS["node_budgets"]))
+    def test_node_budget(self, key):
+        limits = DEFAULT_LIMITS._replace(search_node_budget=int(key.split()[2]))
+        out = syndetic.search(_instance(key), limits=limits)
+        assert {"verdict": out.verdict, "nodes": out.stats.nodes,
+                "prunings": out.stats.prunings} == _SNAPSHOTS["node_budgets"][key]
