@@ -3,9 +3,10 @@
 A nontrivial k-term GP with rational ratio c/b > 1 (gcd(b,c)=1) is stored as
 (k, a, b, c) with term i equal to a*b**(k-1-i)*c**i.  The lowest-terms
 convention makes the representation unique, so enumeration never
-double-counts.  This module is the one walk over these classes: `_classes`
+double-counts.  This module walks these classes in two ways: `_classes`
 forward by the weight b**eb * c**ec of one position, `_cofactors` backward
-over the divisors of a given term.  3-GPs are plain (x, y, z) int tuples.
+over the divisors of a given term.  `process run` has its own numpy forward
+walk (`process._class_blocks`).  3-GPs are plain (x, y, z) int tuples.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class KGeoProgression(namedtuple("KGeoProgression", "k a b c")):
 def canonicalize(sequence: Sequence[int]) -> KGeoProgression:
     """Inverse of KGeoProgression.terms(): recover the unique (k, a, b, c) form.
 
-    Raises NotAGeometricProgression if the ratio is non-constant or any
-    implied division fails, TrivialProgression for a constant sequence.
+    Raises NotAGeometricProgression if the ratio is non-constant or not
+    above 1, TrivialProgression for a constant sequence.
     """
     seq = list(sequence)
     k = len(seq)
@@ -72,12 +73,8 @@ def canonicalize(sequence: Sequence[int]) -> KGeoProgression:
             raise NotAGeometricProgression(
                 f"ratio {t1}/{t0} differs from {c}/{b}"
             )
-    bk = b ** (k - 1)
-    if seq[0] % bk != 0:
-        raise NotAGeometricProgression(
-            f"first term {seq[0]} not divisible by b**(k-1) = {bk}"
-        )
-    return KGeoProgression(k, seq[0] // bk, b, c)
+    # the last term seq[0]*c^(k-1)/b^(k-1) is an integer and gcd(b, c) = 1, so b^(k-1) | seq[0]
+    return KGeoProgression(k, seq[0] // b ** (k - 1), b, c)
 
 
 def _classes(eb: int, ec: int, bound: int, integer: bool = False) -> Iterator[tuple[int, int, int]]:

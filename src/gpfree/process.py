@@ -321,8 +321,7 @@ def survival_probability(
 
     For the 6-GP process the window must satisfy h < sqrt(x): that is the
     hypothesis under which no progression has both middle terms inside the
-    window, making the per-element removal events independent.  The
-    separation is verified over the whole window, not assumed.
+    window, making the per-element removal events independent.
     """
     if x < 16:
         raise DomainError(f"x must be >= 16, got {x}")
@@ -334,6 +333,8 @@ def survival_probability(
         raise ResourceLimit(f"x + h exceeds budget {limits.process_max_n}")
     if trials > limits.survival_max_trials:
         raise ResourceLimit(f"trials {trials} exceeds budget {limits.survival_max_trials}")
+    # h < sqrt(x) keeps out middle terms n1 = a*b^3*c^2 < n2 = a*b^2*c^3 of one 6-GP:
+    # 1/b <= c/b - 1 < x^(-1/2), but b^5 < n1 < 2x gives 1/b > (2x)^(-1/5) >= x^(-1/2)
     if kind is ProcessKind.SIX_GP and h * h >= x:
         raise DomainError(f"6gp window needs h < sqrt(x); got h={h}, x={x}")
 
@@ -344,15 +345,6 @@ def survival_probability(
         if n not in cache:
             cache[n] = _removal_events(kind, n)
         return cache[n]
-
-    if kind is ProcessKind.SIX_GP:
-        seen: dict[tuple[int, int, int, int], int] = {}
-        for n in window:
-            for key, _, _ in events_of(n):
-                if seen.setdefault(key, n) != n:
-                    raise DomainError(
-                        f"middle terms {seen[key]} and {n} of one 6-GP share the window"
-                    )
 
     empties = 0
     for t in range(trials):

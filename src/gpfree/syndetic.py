@@ -9,8 +9,9 @@ with y**2 == x*z once, as gpcore's plain (x, y, z) int tuples.  The search
 decides whether some selection avoids them all, returning an explicit
 counterexample selection or an exhaustion certificate with statistics.
 
-The engine is a DPLL-style backtracker over the pairs in ascending order,
-iterative so that its depth is not bounded by Python's recursion limit.
+The engine is a DPLL-style backtracker that branches on the first undecided
+element, iterative so that its depth is not bounded by Python's recursion
+limit.
 Propagation rules:
   * a triple with two chosen members forbids its third member;
   * a forbidden element forces the other element of every pair holding it
@@ -119,13 +120,12 @@ def export_dimacs(instance: SearchInstance) -> str:
 
 
 class _Engine:
-    """Backtracking core shared by both pairings.
+    """Backtracking core shared by both pairings; it decides elements only.
 
-    Both propagation rules read the pairing from one table built from
-    instance.pairs: mates[e] is the other element of each pair holding e, in
-    pair order (the partner in disjoint mode; e - 1 and e + 1, where in [1, N],
-    in overlapping mode).  The node and time budgets are two fields that dfs
-    checks at every node.
+    The pairing is read from one table built from instance.pairs: mates[e] is
+    the other element of each pair holding e, in pair order (the partner in
+    disjoint mode; e - 1 and e + 1, where in [1, N], in overlapping mode).
+    The node and time budgets are two fields that dfs checks at every node.
     """
 
     def __init__(self, instance: SearchInstance, limits: Limits):
@@ -146,61 +146,45 @@ class _Engine:
 
     # -- propagation ---------------------------------------------------------
 
-    def _set_in(self, e: int, queue: list) -> bool:
-        state = self.state
-        if state[e] == _IN:
-            return True
-        if state[e] == _OUT:
-            self.stats.bump("element-both-forced")
-            return False
-        state[e] = _IN
-        self.trail.append(e)
-        if self.disjoint:  # exactly one of each pair
-            queue.append(-self.mates[e][0])
-        tcount = self.tcount
-        member = self.inst.member[e]
-        complete = False
-        # increment all counters before any early exit so undo stays symmetric
-        for t in member:
-            tcount[t] += 1
-            if tcount[t] == 3:
-                complete = True
-        if complete:
-            self.stats.bump("triple-complete")
-            return False
-        for t in member:
-            if tcount[t] == 2:
-                x, y, z = self.inst.triples[t]
-                third = x if state[x] != _IN else (y if state[y] != _IN else z)
-                if state[third] == _UNDEC:
-                    queue.append(-third)
-        return True
-
-    def _set_out(self, e: int, queue: list) -> bool:
-        state = self.state
-        if state[e] == _OUT:
-            return True
-        if state[e] == _IN:
-            self.stats.bump("element-both-forced")
-            return False
-        state[e] = _OUT
-        self.trail.append(-e)
-        queue.extend(self.mates[e])  # every pair through e now needs its other element
-        return True
-
     def assign(self, lit: int) -> bool:
         """Assign literal (+e IN / -e OUT) and run propagation to fixpoint."""
+        state, tcount, mates, trail = self.state, self.tcount, self.mates, self.trail
+        member, triples = self.inst.member, self.inst.triples
         queue = [lit]
         while queue:
             q = queue.pop()
-            ok = self._set_in(q, queue) if q > 0 else self._set_out(-q, queue)
-            if not ok:
+            e, want = (q, _IN) if q > 0 else (-q, _OUT)
+            if state[e] == want:
+                continue
+            if state[e] != _UNDEC:
+                self.stats.bump("element-both-forced")
                 return False
+            state[e] = want
+            trail.append(q)
+            if want == _OUT:
+                queue.extend(mates[e])  # every pair through e now needs its other element
+                continue
+            if self.disjoint:  # exactly one of each pair
+                queue.append(-mates[e][0])
+            complete = False
+            # increment all counters before any early exit so undo stays symmetric
+            for t in member[e]:
+                tcount[t] += 1
+                if tcount[t] == 3:
+                    complete = True
+            if complete:
+                self.stats.bump("triple-complete")
+                return False
+            for t in member[e]:
+                if tcount[t] == 2:
+                    x, y, z = triples[t]
+                    third = x if state[x] != _IN else (y if state[y] != _IN else z)
+                    if state[third] == _UNDEC:
+                        queue.append(-third)
         return True
 
     def undo(self, mark: int) -> None:
-        state, tcount = self.state, self.tcount
-        member = self.inst.member
+        state, tcount, member = self.state, self.tcount, self.inst.member
         while len(self.trail) > mark:
             s = self.trail.pop()
             e = abs(s)
@@ -209,59 +193,43 @@ class _Engine:
                 for t in member[e]:
                     tcount[t] -= 1
 
-    # -- preprocessing -------------------------------------------------------
+    def preassign_unconstrained(self) -> None:
+        """Select triple-free elements up front; sound by monotonicity.
 
-    def preassign_unconstrained(self) -> bool:
-        """Select triple-free elements up front; sound by monotonicity."""
+        No such assign fails: it can only force a disjoint mate OUT, whose one
+        mate is the element itself, already IN.
+        """
         member = self.inst.member
         for e in range(1, self.n + 1):
             if not member[e] and self.state[e] == _UNDEC:
-                if not self.assign(e):
-                    return False
-        return True
+                self.assign(e)
 
     # -- branching -----------------------------------------------------------
 
-    def next_pair(self, start: int) -> int:
-        """Index of the first pair from `start` on with an undecided element."""
-        pairs, state = self.inst.pairs, self.state
-        for i in range(start, len(pairs)):
-            e1, e2 = pairs[i]
-            if state[e1] == _UNDEC or state[e2] == _UNDEC:
-                return i
-        return -1
-
-    def branch_literals(self, i: int) -> list[int]:
-        """Decision literals for pair i; each branch decides >= 1 element."""
-        e1, e2 = self.inst.pairs[i]
-        if self.disjoint:
-            # pair untouched (propagation keeps pairs atomic in disjoint mode)
-            return [e1, e2]
-        # overlapping: branch on the first undecided element of the pair
-        e = e1 if self.state[e1] == _UNDEC else e2
-        return [-e, e]  # try OUT first: it forces both neighbors IN
-
     def dfs(self) -> str:
-        """Depth-first search over an explicit stack of node frames.
+        """Depth-first search that branches on the first undecided element.
 
-        A frame is (pair index, untried branch literals, trail mark).  Each
+        A frame is (element, untried branch literals, trail mark).  Each
         time a frame is resumed it undoes to its mark, then tries its next
-        literal: the undo order of the plain recursive backtracker.
+        literal: the undo order of the plain recursive backtracker.  Every
+        element below the top frame's stays decided, so the scan for the next
+        one starts there.  Disjoint pairs stay atomic: OUT e is IN its partner.
         """
-        budget, deadline = self.node_budget, self.deadline
-        stack = []
-        i = 0
+        budget, deadline, state = self.node_budget, self.deadline, self.state
+        stack, e = [], 1
         while True:
-            i = self.next_pair(i)
-            if i < 0:
+            e = state.find(_UNDEC, e)
+            if e < 0:
                 return COUNTEREXAMPLE
             self.stats.nodes += 1
             if ((budget is not None and self.stats.nodes > budget)
                     or (deadline is not None and time.monotonic() > deadline)):
                 return BUDGET_EXHAUSTED
-            stack.append((i, iter(self.branch_literals(i)), len(self.trail)))
+            # overlapping: try OUT first: it forces both neighbours IN
+            lits = [e, -e] if self.disjoint else [-e, e]
+            stack.append((e, iter(lits), len(self.trail)))
             while stack:
-                i, lits, mark = stack[-1]
+                e, lits, mark = stack[-1]
                 self.undo(mark)
                 lit = next(lits, 0)
                 if not lit:
@@ -289,7 +257,8 @@ def search(
     """
     t0 = time.perf_counter()
     eng = _Engine(instance, limits)
-    verdict = eng.dfs() if eng.preassign_unconstrained() else EXHAUSTED
+    eng.preassign_unconstrained()
+    verdict = eng.dfs()
     sel = eng.selection() if verdict == COUNTEREXAMPLE else None
     eng.stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if sel is not None:

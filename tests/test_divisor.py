@@ -163,6 +163,7 @@ class TestSieve:
     @example(window=(0, 1024), spec=divisor.DivisorSpec.single(2))
     @example(window=(1009 * 1013 - 5, 6), spec=divisor.DivisorSpec.pair(1, 2))
     @example(window=(1009**2 * 3 - 2, 4), spec=divisor.DivisorSpec.single(2))
+    @example(window=(0, 100), spec=divisor.DivisorSpec.single(64))  # d_64 is 1 below 2**64
     @settings(max_examples=120, deadline=None)
     def test_segment_matches_pointwise_random(self, window, spec):
         table = divisor.sieve(divisor.Interval(*window), spec)
@@ -185,6 +186,13 @@ class TestSieve:
         spec = divisor.DivisorSpec.single(3)
         table = divisor.sieve(divisor.Interval(2**62 - 1, 1), spec, limits)
         assert table.values == (62 // 3 + 1,)
+
+    # the float guess overshoots r**k - 1 at r = 1000003 and undershoots
+    # r**k at r = 10**17 + 3, so both correction loops run
+    @pytest.mark.parametrize("r, k", [(1000003, 3), (10**17 + 3, 2), (10**15 + 37, 3)])
+    def test_iroot_at_exact_powers(self, r, k):
+        assert divisor._iroot(r**k - 1, k) == r - 1
+        assert divisor._iroot(r**k, k) == r
 
     def test_prime_base_budget(self):
         with pytest.raises(ResourceLimit):

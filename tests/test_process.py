@@ -346,10 +346,10 @@ class TestSurvival:
         # trials stop at the first survivor, far before the end of the window
         assert process.survival_probability(K3, 16, 10**6, 20, 1).empties == 0
         assert 0 < len(calls) == len(set(calls)) < 1000
-        # the 6-GP separation check walks the whole window, once
+        # 6-GP windows are separated by h < sqrt(x) alone, so they build lazily too
         calls.clear()
         process.survival_probability(K6, 10**4, 99, 20, 1)
-        assert sorted(calls) == list(range(10**4 + 1, 10**4 + 100))
+        assert 0 < len(calls) == len(set(calls)) < 99
 
 
 def full_run_empties(kind, x, h, trials, seed):

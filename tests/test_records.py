@@ -99,6 +99,15 @@ def test_search_stats_is_a_mutable_counter():
     (lambda: gpcore.KGeoProgression(3, 1, 2, 4), "ratio 4/2 not in lowest terms"),
     (lambda: gpcore.KGeoProgression(3, 1, 1, 2**32), "largest term exceeds 64 bits"),
     (lambda: gpcore.KGeoProgression(65, 1, 1, 2), "largest term exceeds 64 bits"),
+    (lambda: gpcore.KGeoProgression(3, 1, 1, 2).term_at(3), "position 3 out of range for k=3"),
+    (lambda: gpcore.canonicalize([0, 1, 2]), "terms must be positive integers"),
+    (lambda: gpcore.find_gps_with_term_at(0, 3, 1), "n must be positive, got 0"),
+    (lambda: gpcore.find_gps_with_term_at(8, 2, 1), "k must be >= 3, got 2"),
+    (lambda: gpcore.find_gps_with_term_at(8, 3, 3), "position 3 out of range for k=3"),
+    (lambda: gpcore.contains_gp([1, 2, 4], 3, "real"), "unknown mode 'real'"),
+    (lambda: gpcore.enumerate_3gp_triples(0), "n must be positive, got 0"),
+    (lambda: syndetic.build_instance(4, "cyclic"), "unknown pairing 'cyclic'"),
+    (lambda: divisor.factorize(0), "n must be positive, got 0"),
     (lambda: divisor.DivisorSpec(k=2, i=1), "give either k or (i, j), not both"),
     (lambda: divisor.DivisorSpec(k=0), "k must be >= 1, got 0"),
     (lambda: divisor.DivisorSpec(i=1), "pair spec needs both i and j"),

@@ -60,6 +60,11 @@ class TestVerifySelection:
         with pytest.raises(MalformedSelection):
             syndetic.verify_selection(inst, [1, 3, 6, 8, 10, 11])
 
+    def test_both_of_a_disjoint_pair_rejected(self):
+        inst = syndetic.build_instance(10, syndetic.DISJOINT)
+        with pytest.raises(MalformedSelection, match="both elements"):
+            syndetic.verify_selection(inst, [1, 3, 5, 6, 8, 10])
+
 
 class TestSelectionOracle:
     """The certificate check that shares no code with gpfree can fail."""
@@ -191,6 +196,14 @@ class TestHeadlineSizes:
         out = syndetic.search(syndetic.build_instance(10000, syndetic.DISJOINT))
         assert out.verdict == syndetic.COUNTEREXAMPLE
         assert brute_selection_violation(10000, "disjoint", out.selection) is None
+
+    def test_disjoint_100000_pinned(self):
+        """The ladder beyond the snapshots, recorded from an earlier engine."""
+        out = syndetic.search(syndetic.build_instance(100000, syndetic.DISJOINT))
+        assert (out.verdict, out.stats.nodes, out.stats.prunings) == (
+            syndetic.COUNTEREXAMPLE, 12071, {})
+        assert hashlib.sha256(json.dumps(list(out.selection)).encode()).hexdigest() == (
+            "d9ef0645055a567724ac83bfb5823630a9c541e7c4addfea3409525de9b8f257")
 
     def test_oracle_rejects_640_witness_with_planted_3gp(self):
         """Flipping one pair of the witness to complete a triple is caught."""
