@@ -99,15 +99,6 @@ def test_search_stats_is_a_mutable_counter():
     (lambda: gpcore.KGeoProgression(3, 1, 2, 4), "ratio 4/2 not in lowest terms"),
     (lambda: gpcore.KGeoProgression(3, 1, 1, 2**32), "largest term exceeds 64 bits"),
     (lambda: gpcore.KGeoProgression(65, 1, 1, 2), "largest term exceeds 64 bits"),
-    (lambda: gpcore.KGeoProgression(3, 1, 1, 2).term_at(3), "position 3 out of range for k=3"),
-    (lambda: gpcore.canonicalize([0, 1, 2]), "terms must be positive integers"),
-    (lambda: gpcore.find_gps_with_term_at(0, 3, 1), "n must be positive, got 0"),
-    (lambda: gpcore.find_gps_with_term_at(8, 2, 1), "k must be >= 3, got 2"),
-    (lambda: gpcore.find_gps_with_term_at(8, 3, 3), "position 3 out of range for k=3"),
-    (lambda: gpcore.contains_gp([1, 2, 4], 3, "real"), "unknown mode 'real'"),
-    (lambda: gpcore.enumerate_3gp_triples(0), "n must be positive, got 0"),
-    (lambda: syndetic.build_instance(4, "cyclic"), "unknown pairing 'cyclic'"),
-    (lambda: divisor.factorize(0), "n must be positive, got 0"),
     (lambda: divisor.DivisorSpec(k=2, i=1), "give either k or (i, j), not both"),
     (lambda: divisor.DivisorSpec(k=0), "k must be >= 1, got 0"),
     (lambda: divisor.DivisorSpec(i=1), "pair spec needs both i and j"),
@@ -124,3 +115,27 @@ def test_validation_errors(make, message):
     with pytest.raises(DomainError) as exc:
         make()
     assert type(exc.value) is DomainError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: gpcore.KGeoProgression(3, 1, 1, 2).term_at(3),
+                 "position 3 out of range for k=3", id="term_at"),
+    pytest.param(lambda: gpcore.canonicalize([0, 1, 2]),
+                 "terms must be positive integers", id="canonicalize"),
+    pytest.param(lambda: gpcore.find_gps_with_term_at(0, 3, 1),
+                 "n must be positive, got 0", id="find_gps_with_term_at-n"),
+    pytest.param(lambda: gpcore.find_gps_with_term_at(8, 2, 1),
+                 "k must be >= 3, got 2", id="find_gps_with_term_at-k"),
+    pytest.param(lambda: gpcore.find_gps_with_term_at(8, 3, 3),
+                 "position 3 out of range for k=3", id="find_gps_with_term_at-position"),
+    pytest.param(lambda: gpcore.contains_gp([1, 2, 4], 3, "real"),
+                 "unknown mode 'real'", id="contains_gp"),
+    pytest.param(lambda: gpcore.enumerate_3gp_triples(0),
+                 "n must be positive, got 0", id="enumerate_3gp_triples"),
+    pytest.param(lambda: syndetic.build_instance(4, "cyclic"),
+                 "unknown pairing 'cyclic'", id="build_instance"),
+    pytest.param(lambda: divisor.factorize(0),
+                 "n must be positive, got 0", id="factorize"),
+])
+def test_entry_point_validation_errors(make, message):
+    test_validation_errors(make, message)
