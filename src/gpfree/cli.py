@@ -31,7 +31,7 @@ import json
 import os
 import sys
 import time
-from itertools import chain, islice
+from itertools import islice
 
 from . import __version__
 from .errors import GPFreeError, ResourceLimit
@@ -102,11 +102,9 @@ def _chunks(items):
 def _emit(args, payload: dict, seed=None, elapsed_ms: float = 0.0) -> None:
     if getattr(args, "format", "json") == "csv":  # only commands with rows take --format
         import csv
-        import io
-        for chunk in chain([[payload["columns"]]], _chunks(payload["rows"])):
-            buf = io.StringIO()
-            csv.writer(buf).writerows(chunk)
-            sys.stdout.write(buf.getvalue())
+        writer = csv.writer(sys.stdout)  # one row per write: never the whole text
+        writer.writerow(payload["columns"])
+        writer.writerows(payload["rows"])
         return
     # "rows" and "values" go out a chunk at a time where their stand-ins fall in the
     # text: the last NULs in it, as only the command line comes before the payload
@@ -178,8 +176,7 @@ def cmd_gp_contains(args):
 
 def cmd_divisor_table(args):
     from . import divisor
-    spec = (divisor.DivisorSpec.single(args.k) if args.k is not None
-            else divisor.DivisorSpec.pair(args.i, args.j))
+    spec = divisor.DivisorSpec(args.k, args.i, args.j)  # the record refuses k with i or j
     table = divisor.sieve(divisor.Interval(args.start, args.len), spec, args.limits)
     return {
         "interval": {"x": args.start, "h": args.len},

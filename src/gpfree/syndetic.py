@@ -4,16 +4,19 @@ A selection picks at least one integer from every pair of consecutive
 integers: disjoint pairing uses the pairs {2i-1, 2i} (and by monotonicity of
 triple-hitting, exactly-one selections decide the at-least-one question too);
 overlapping pairing uses every {i, i+1}, the reading under which gaps never
-exceed one skipped integer.  The instance holds every triple x < y < z <= N
-with y**2 == x*z once, as gpcore's plain (x, y, z) int tuples.  The search
-decides whether some selection avoids them all, returning an explicit
-counterexample selection or an exhaustion certificate with statistics.
+exceed one skipped integer.  The instance is exactly the CNF that
+export_dimacs writes, plus the pairing: the pairs, and every triple
+x < y < z <= N with y**2 == x*z once, as gpcore's plain (x, y, z) int tuples.
+The search decides whether some selection avoids them all, returning an
+explicit counterexample selection or an exhaustion certificate with
+statistics.  verify_selection re-checks a counterexample against those
+clauses alone, sharing no table with the engine.
 
 The engine is a DPLL-style backtracker that branches on the first undecided
 element, iterative so that its depth is not bounded by Python's recursion
-limit.
+limit.  It builds its own element indexes from the instance.
 Propagation rules:
-  * a triple with two chosen members forbids its third member;
+  * a triple with two chosen elements forbids its third element;
   * a forbidden element forces the other element of every pair holding it
     to be chosen;
   * in disjoint mode a chosen element forbids the other element of its pair.
@@ -42,23 +45,11 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 _UNDEC, _IN, _OUT = 0, 1, 2
 
 
-# triples: (x, y, z) with x < y < z, y*y == x*z; member[e]: indices of the triples holding e
-SearchInstance = namedtuple("SearchInstance", "n pairing pairs triples member")
+# the CNF of export_dimacs plus its pairing mode; triples: (x, y, z) with x < y < z, y*y == x*z
+SearchInstance = namedtuple("SearchInstance", "n pairing pairs triples")
 
-
-class SearchStats:
-    __slots__ = ("nodes", "prunings", "elapsed_ms")
-
-    def __init__(self):
-        self.nodes, self.prunings, self.elapsed_ms = 0, {}, 0.0
-
-    def __repr__(self) -> str:
-        return (f"SearchStats(nodes={self.nodes!r}, prunings={self.prunings!r}, "
-                f"elapsed_ms={self.elapsed_ms!r})")
-
-    def bump(self, cause: str) -> None:
-        self.prunings[cause] = self.prunings.get(cause, 0) + 1
-
+# prunings: cause -> count; elapsed_ms covers engine set-up and search
+SearchStats = namedtuple("SearchStats", "nodes prunings elapsed_ms")
 
 # selection: the counterexample, present iff the verdict is COUNTEREXAMPLE
 SearchOutcome = namedtuple("SearchOutcome", "verdict stats selection", defaults=(None,))
@@ -69,20 +60,15 @@ def build_instance(n: int, pairing: str = DISJOINT) -> SearchInstance:
         raise DomainError(f"N must be even and >= 4, got {n}")
     if pairing not in (DISJOINT, OVERLAPPING):
         raise DomainError(f"unknown pairing {pairing!r}")
-    triples = tuple(enumerate_3gp_triples(n))
-    member: list[list[int]] = [[] for _ in range(n + 1)]
-    for t, tr in enumerate(triples):
-        for e in tr:
-            member[e].append(t)
     if pairing == DISJOINT:
         pairs = tuple((2 * i - 1, 2 * i) for i in range(1, n // 2 + 1))
     else:
         pairs = tuple((i, i + 1) for i in range(1, n))
-    return SearchInstance(n, pairing, pairs, triples, tuple(tuple(m) for m in member))
+    return SearchInstance(n, pairing, pairs, tuple(enumerate_3gp_triples(n)))
 
 
 def verify_selection(instance: SearchInstance, selection: Sequence[int]) -> Optional[tuple[int, int, int]]:
-    """Certificate check, independent of the search engine: a contained triple, or None."""
+    """Certificate check on the clauses alone: the first contained triple, or None."""
     chosen = set(selection)
     if not chosen <= set(range(1, instance.n + 1)):
         raise MalformedSelection("selection contains integers outside [1, N]")
@@ -93,12 +79,9 @@ def verify_selection(instance: SearchInstance, selection: Sequence[int]) -> Opti
         for e1, e2 in instance.pairs:
             if e1 in chosen and e2 in chosen:
                 raise MalformedSelection(f"pair {{{e1},{e2}}} has both elements selected")
-    counts = [0] * len(instance.triples)
-    for e in chosen:
-        for t in instance.member[e]:
-            counts[t] += 1
-            if counts[t] == 3:
-                return instance.triples[t]
+    for x, y, z in instance.triples:
+        if x in chosen and y in chosen and z in chosen:
+            return (x, y, z)
     return None
 
 
@@ -122,10 +105,11 @@ def export_dimacs(instance: SearchInstance) -> str:
 class _Engine:
     """Backtracking core shared by both pairings; it decides elements only.
 
-    The pairing is read from one table built from instance.pairs: mates[e] is
-    the other element of each pair holding e, in pair order (the partner in
-    disjoint mode; e - 1 and e + 1, where in [1, N], in overlapping mode).
-    The node and time budgets are two fields that dfs checks at every node.
+    It builds its two working tables from the instance's clauses.  mates[e]
+    is the other element of each pair holding e, in pair order (the partner
+    in disjoint mode; e - 1 and e + 1, where in [1, N], in overlapping mode).
+    member[e] lists the indices of the triples holding e, ascending.  The
+    node and time budgets are two fields that dfs checks at every node.
     """
 
     def __init__(self, instance: SearchInstance, limits: Limits):
@@ -139,17 +123,21 @@ class _Engine:
         for e1, e2 in instance.pairs:
             mates[e1].append(e2)
             mates[e2].append(e1)
+        self.member = member = [[] for _ in range(n + 1)]
+        for t, tr in enumerate(instance.triples):
+            for e in tr:
+                member[e].append(t)
         self.state = bytearray(n + 1)
         self.tcount = [0] * len(instance.triples)
         self.trail: list[int] = []  # signed: +e set IN, -e set OUT
-        self.stats = SearchStats()
+        self.nodes, self.prunings = 0, {}
 
     # -- propagation ---------------------------------------------------------
 
     def assign(self, lit: int) -> bool:
         """Assign literal (+e IN / -e OUT) and run propagation to fixpoint."""
         state, tcount, mates, trail = self.state, self.tcount, self.mates, self.trail
-        member, triples = self.inst.member, self.inst.triples
+        member, triples, prunings = self.member, self.inst.triples, self.prunings
         queue = [lit]
         while queue:
             q = queue.pop()
@@ -157,7 +145,7 @@ class _Engine:
             if state[e] == want:
                 continue
             if state[e] != _UNDEC:
-                self.stats.bump("element-both-forced")
+                prunings["element-both-forced"] = prunings.get("element-both-forced", 0) + 1
                 return False
             state[e] = want
             trail.append(q)
@@ -173,7 +161,7 @@ class _Engine:
                 if tcount[t] == 3:
                     complete = True
             if complete:
-                self.stats.bump("triple-complete")
+                prunings["triple-complete"] = prunings.get("triple-complete", 0) + 1
                 return False
             for t in member[e]:
                 if tcount[t] == 2:
@@ -184,7 +172,7 @@ class _Engine:
         return True
 
     def undo(self, mark: int) -> None:
-        state, tcount, member = self.state, self.tcount, self.inst.member
+        state, tcount, member = self.state, self.tcount, self.member
         while len(self.trail) > mark:
             s = self.trail.pop()
             e = abs(s)
@@ -199,9 +187,8 @@ class _Engine:
         No such assign fails: it can only force a disjoint mate OUT, whose one
         mate is the element itself, already IN.
         """
-        member = self.inst.member
         for e in range(1, self.n + 1):
-            if not member[e] and self.state[e] == _UNDEC:
+            if not self.member[e] and self.state[e] == _UNDEC:
                 self.assign(e)
 
     # -- branching -----------------------------------------------------------
@@ -221,8 +208,8 @@ class _Engine:
             e = state.find(_UNDEC, e)
             if e < 0:
                 return COUNTEREXAMPLE
-            self.stats.nodes += 1
-            if ((budget is not None and self.stats.nodes > budget)
+            self.nodes += 1
+            if ((budget is not None and self.nodes > budget)
                     or (deadline is not None and time.monotonic() > deadline)):
                 return BUDGET_EXHAUSTED
             # overlapping: try OUT first: it forces both neighbours IN
@@ -260,9 +247,9 @@ def search(
     eng.preassign_unconstrained()
     verdict = eng.dfs()
     sel = eng.selection() if verdict == COUNTEREXAMPLE else None
-    eng.stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    stats = SearchStats(eng.nodes, eng.prunings, (time.perf_counter() - t0) * 1000.0)
     if sel is not None:
         witness = verify_selection(instance, sel)
         if witness is not None:
             raise RuntimeError(f"engine produced an invalid counterexample: {witness} is a 3-GP")
-    return SearchOutcome(verdict, eng.stats, sel)
+    return SearchOutcome(verdict, stats, sel)

@@ -400,10 +400,13 @@ class TestCleanExits:
           "--to", "1e6", "--points", "1"], 1),
         (["divisor", "sum", "--i", "2", "--j", "3", "--start", "0", "--len", "5", "--D", "nan"], 1),
         (["divisor", "sum", "--i", "2", "--j", "3", "--start", "0", "--len", "5", "--D", "inf"], 1),
+        (["divisor", "table", "--k", "2", "--i", "2", "--j", "3", "--start", "1", "--len", "3"], 1),
+        (["divisor", "table", "--k", "2", "--j", "3", "--start", "1", "--len", "3"], 1),
     ], ids=["terms-token", "input-token", "input-encoding", "out-dir", "max-items-0",
             "points-0", "survival-seed-too-big", "survival-seed-negative",
             "grid-negative-end", "grid-zero-end", "envelope-exp-overflow", "gaps-exp-overflow",
-            "envelope-product-overflow", "sum-D-nan", "sum-D-inf"])
+            "envelope-product-overflow", "sum-D-nan", "sum-D-inf", "table-k-and-ij",
+            "table-k-and-j"])
     def test_bad_input_exits_cleanly(self, capsys, tmp_path, argv, code):
         (tmp_path / "tokens").write_text("1 x 4\n")
         (tmp_path / "latin1").write_bytes(b"1 \xe9 4\n")

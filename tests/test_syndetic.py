@@ -65,6 +65,14 @@ class TestVerifySelection:
         with pytest.raises(MalformedSelection, match="both elements"):
             syndetic.verify_selection(inst, [1, 3, 5, 6, 8, 10])
 
+    def test_reads_the_clauses_alone(self):
+        """A hand-built instance needs no index: the first contained triple, in order."""
+        inst = syndetic.SearchInstance(10, syndetic.OVERLAPPING,
+                                       tuple((i, i + 1) for i in range(1, 10)),
+                                       ((1, 2, 4), (1, 3, 9), (2, 4, 8), (4, 6, 9)))
+        assert syndetic.verify_selection(inst, range(1, 11)) == (1, 2, 4)
+        assert syndetic.verify_selection(inst, [2, 3, 5, 6, 7, 8, 10]) is None
+
 
 class TestSelectionOracle:
     """The certificate check that shares no code with gpfree can fail."""
@@ -153,6 +161,19 @@ class TestSearchConfigurations:
         outs = [syndetic.search(inst, workers=w) for w in (1, 2, 8)]
         assert len({o.verdict for o in outs}) == 1
         assert len({tuple(o.selection) for o in outs}) == 1
+
+    @pytest.mark.parametrize("pairing", [syndetic.DISJOINT, syndetic.OVERLAPPING])
+    def test_blind_engine_fails_its_own_check(self, monkeypatch, pairing):
+        """An engine whose triple index is empty picks a selection holding a 3-GP;
+        verify_selection shares no table with it, so the search raises."""
+        init = syndetic._Engine.__init__
+
+        def blind_init(self, *args):
+            init(self, *args)
+            self.member = [[] for _ in self.member]
+        monkeypatch.setattr(syndetic._Engine, "__init__", blind_init)
+        with pytest.raises(RuntimeError, match="invalid counterexample"):
+            syndetic.search(syndetic.build_instance(10, pairing))
 
     def test_budget_exhaustion(self):
         limits = DEFAULT_LIMITS._replace(search_node_budget=3)
