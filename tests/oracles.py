@@ -93,6 +93,25 @@ def brute_selection_violation(n: int, pairing: str, selection) -> tuple | None:
     return None
 
 
+def brute_cnf_selection(n: int, pairs, triples, exactly_one: bool) -> list[int] | None:
+    """First subset of [1, n], in bitmask order, that satisfies the clauses, or None.
+
+    Every pair needs at least one chosen element (exactly one when
+    `exactly_one`), and no triple may have all three chosen.  All 2^n subsets
+    are filtered one clause at a time.
+    """
+    masks = range(1 << n)  # bit e-1 set: e chosen
+    for a, b in pairs:
+        pm = (1 << (a - 1)) | (1 << (b - 1))
+        masks = [m for m in masks if m & pm and not (exactly_one and m & pm == pm)]
+    for triple in triples:
+        tm = sum(1 << (e - 1) for e in triple)
+        masks = [m for m in masks if m & tm != tm]
+    if not masks:
+        return None
+    return [e for e in range(1, n + 1) if masks[0] >> (e - 1) & 1]
+
+
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -1,8 +1,11 @@
 import hashlib
+import itertools
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpfree import syndetic
 from gpfree.errors import DomainError, MalformedSelection
@@ -10,6 +13,7 @@ from gpfree.limits import DEFAULT_LIMITS
 
 from oracles import (
     brute_3gp_triples,
+    brute_cnf_selection,
     brute_disjoint_free_selection,
     brute_overlapping_free_selection,
     brute_selection_violation,
@@ -141,6 +145,36 @@ class TestSearchSmall:
             assert out.verdict == syndetic.EXHAUSTED
         else:
             assert out.verdict == syndetic.COUNTEREXAMPLE
+
+
+@st.composite
+def _random_instances(draw):
+    """Pair clauses of either shape with random "not all IN" triples: clause sets
+    build_instance never makes (odd N, triples that are no 3-GP)."""
+    pairing = draw(st.sampled_from([syndetic.DISJOINT, syndetic.OVERLAPPING]))
+    if pairing == syndetic.DISJOINT:
+        n = 2 * draw(st.integers(2, 6))
+        pairs = tuple((2 * i - 1, 2 * i) for i in range(1, n // 2 + 1))
+    else:
+        n = draw(st.integers(3, 12))
+        pairs = tuple((i, i + 1) for i in range(1, n))
+    rng, density = draw(st.randoms(use_true_random=False)), draw(st.floats(0.0, 1.0))
+    triples = tuple(t for t in itertools.combinations(range(1, n + 1), 3) if rng.random() < density)
+    return syndetic.SearchInstance(n, pairing, pairs, triples)
+
+
+class TestRandomInstances:
+    @given(inst=_random_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_brute_enumeration(self, inst):
+        """Disjoint is enumerated with exactly-one semantics, which by monotonicity
+        decides at-least-one too; every counterexample must pass verify_selection."""
+        out = syndetic.search(inst)
+        brute = brute_cnf_selection(inst.n, inst.pairs, inst.triples,
+                                    exactly_one=inst.pairing == syndetic.DISJOINT)
+        assert out.verdict == (syndetic.EXHAUSTED if brute is None else syndetic.COUNTEREXAMPLE)
+        if out.selection is not None:
+            assert syndetic.verify_selection(inst, out.selection) is None
 
 
 class TestSearchConfigurations:
