@@ -20,8 +20,9 @@ the rows alone.  A file that cannot be read or written exits 1.
 
 Only `process run` and `divisor mertens` import numpy, inside the command,
 so their `elapsed_ms` includes that import; the payload is unchanged.  Long
-lists in a payload (`rows`, `values`) are written a fixed-size chunk at a
-time, in JSON and CSV, with the same text a one-shot dump would give.
+lists in a payload (`rows`, `values`) go out a fixed-size chunk at a time in
+JSON, and one row at a time in CSV, with the same text a one-shot dump would
+give.
 """
 
 from __future__ import annotations

@@ -14,15 +14,12 @@ clauses alone, sharing no table with the engine.
 
 The engine is a DPLL-style backtracker that branches on the first undecided
 element, iterative so that its depth is not bounded by Python's recursion
-limit.  It builds its own element indexes from the instance.
-Propagation rules:
-  * a triple with two chosen elements forbids its third element;
-  * a forbidden element forces the other element of every pair holding it
-    to be chosen;
-  * in disjoint mode a chosen element forbids the other element of its pair.
-Elements belonging to no triple are chosen greedily up front: adding such an
-element to any valid selection keeps it valid, so the restriction is sound
-for both verdicts.
+limit.  It keeps one counter per clause: a pair fails when neither element
+is chosen and, listed again in disjoint mode, when both are; a triple fails
+when all three are.  One rule propagates them all: a clause one element short
+of failing forces its last undecided element the other way.  Elements in no
+triple are chosen up front: choosing one (and dropping its disjoint mate)
+keeps any valid selection valid, so this is sound for both verdicts.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ COUNTEREXAMPLE = "counterexample"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 _UNDEC, _IN, _OUT = 0, 1, 2
+_CONFLICTS = {2: "element-both-forced", 3: "triple-complete"}  # by failed clause size
 
 
 # the CNF of export_dimacs plus its pairing mode; triples: (x, y, z) with x < y < z, y*y == x*z
@@ -103,13 +101,14 @@ def export_dimacs(instance: SearchInstance) -> str:
 
 
 class _Engine:
-    """Backtracking core shared by both pairings; it decides elements only.
+    """Backtracking core: one counter per clause and one counting rule.
 
-    It builds its two working tables from the instance's clauses.  mates[e]
-    is the other element of each pair holding e, in pair order (the partner
-    in disjoint mode; e - 1 and e + 1, where in [1, N], in overlapping mode).
-    member[e] lists the indices of the triples holding e, ascending.  The
-    node and time budgets are two fields that dfs checks at every node.
+    The first len(pairs) clauses fail when all OUT, the rest when all IN.
+    occ[lit] lists, in clause order, the clauses that literal +e (IN) or -e
+    (OUT, an end-relative index) pushes toward failing; left[c] counts the
+    elements of clause c not yet at its failing value.  At 1 the clause forces
+    its last undecided element the other way; at 0 it is a conflict, named by
+    its size.  dfs checks the node and time budgets at every node.
     """
 
     def __init__(self, instance: SearchInstance, limits: Limits):
@@ -117,81 +116,67 @@ class _Engine:
         self.deadline = None if seconds is None else time.monotonic() + seconds
         self.node_budget = limits.search_node_budget
         self.inst = instance
-        self.disjoint = instance.pairing == DISJOINT
         self.n = n = instance.n
-        self.mates = mates = [[] for _ in range(n + 1)]
-        for e1, e2 in instance.pairs:
-            mates[e1].append(e2)
-            mates[e2].append(e1)
-        self.member = member = [[] for _ in range(n + 1)]
-        for t, tr in enumerate(instance.triples):
-            for e in tr:
-                member[e].append(t)
+        pairs = instance.pairs
+        self.clauses = clauses = (
+            pairs + (pairs if instance.pairing == DISJOINT else ()) + instance.triples)
+        self.occ = occ = [[] for _ in range(2 * n + 1)]
+        for c in range(len(pairs)):
+            for e in clauses[c]:
+                occ[-e].append(c)
+        for c in range(len(pairs), len(clauses)):
+            for e in clauses[c]:
+                occ[e].append(c)
+        self.left = bytearray(map(len, clauses))
         self.state = bytearray(n + 1)
-        self.tcount = [0] * len(instance.triples)
         self.trail: list[int] = []  # signed: +e set IN, -e set OUT
         self.nodes, self.prunings = 0, {}
 
-    # -- propagation ---------------------------------------------------------
-
     def assign(self, lit: int) -> bool:
         """Assign literal (+e IN / -e OUT) and run propagation to fixpoint."""
-        state, tcount, mates, trail = self.state, self.tcount, self.mates, self.trail
-        member, triples, prunings = self.member, self.inst.triples, self.prunings
+        state, left, occ, clauses, trail = self.state, self.left, self.occ, self.clauses, self.trail
         queue = [lit]
         while queue:
             q = queue.pop()
-            e, want = (q, _IN) if q > 0 else (-q, _OUT)
-            if state[e] == want:
+            e = abs(q)
+            if state[e]:  # already q: the other value would have failed the clause that queued q
                 continue
-            if state[e] != _UNDEC:
-                prunings["element-both-forced"] = prunings.get("element-both-forced", 0) + 1
-                return False
-            state[e] = want
+            state[e] = _IN if q > 0 else _OUT
             trail.append(q)
-            if want == _OUT:
-                queue.extend(mates[e])  # every pair through e now needs its other element
-                continue
-            if self.disjoint:  # exactly one of each pair
-                queue.append(-mates[e][0])
-            complete = False
-            # increment all counters before any early exit so undo stays symmetric
-            for t in member[e]:
-                tcount[t] += 1
-                if tcount[t] == 3:
-                    complete = True
-            if complete:
-                prunings["triple-complete"] = prunings.get("triple-complete", 0) + 1
+            failed = None
+            for c in occ[q]:  # count every clause before any exit so undo stays symmetric
+                left[c] -= 1
+                if left[c] == 1:
+                    for x in clauses[c]:
+                        if not state[x]:
+                            queue.append(-x if q > 0 else x)
+                elif not left[c]:
+                    failed = c
+            if failed is not None:
+                cause = _CONFLICTS[len(clauses[failed])]
+                self.prunings[cause] = self.prunings.get(cause, 0) + 1
                 return False
-            for t in member[e]:
-                if tcount[t] == 2:
-                    x, y, z = triples[t]
-                    third = x if state[x] != _IN else (y if state[y] != _IN else z)
-                    if state[third] == _UNDEC:
-                        queue.append(-third)
         return True
 
     def undo(self, mark: int) -> None:
-        state, tcount, member = self.state, self.tcount, self.member
-        while len(self.trail) > mark:
-            s = self.trail.pop()
-            e = abs(s)
-            state[e] = _UNDEC
-            if s > 0:
-                for t in member[e]:
-                    tcount[t] -= 1
+        state, left, occ, trail = self.state, self.left, self.occ, self.trail
+        while len(trail) > mark:
+            q = trail.pop()
+            state[abs(q)] = _UNDEC
+            for c in occ[q]:
+                left[c] += 1
 
     def preassign_unconstrained(self) -> None:
-        """Select triple-free elements up front; sound by monotonicity.
+        """Select the elements in no triple up front; no such assign fails.
 
-        No such assign fails: it can only force a disjoint mate OUT, whose one
-        mate is the element itself, already IN.
+        Only triples decide: a disjoint "not both IN" clause just forces the
+        mate OUT, which fails no clause; counting it would choose nothing.
         """
+        state, occ, clauses = self.state, self.occ, self.clauses
         for e in range(1, self.n + 1):
-            if not self.member[e] and self.state[e] == _UNDEC:
+            # occ[e] runs in clause order, triples last
+            if not state[e] and (not occ[e] or len(clauses[occ[e][-1]]) == 2):
                 self.assign(e)
-
-    # -- branching -----------------------------------------------------------
 
     def dfs(self) -> str:
         """Depth-first search that branches on the first undecided element.
@@ -203,6 +188,7 @@ class _Engine:
         one starts there.  Disjoint pairs stay atomic: OUT e is IN its partner.
         """
         budget, deadline, state = self.node_budget, self.deadline, self.state
+        in_first = self.inst.pairing == DISJOINT  # overlapping: OUT forces both neighbours IN
         stack, e = [], 1
         while True:
             e = state.find(_UNDEC, e)
@@ -212,8 +198,7 @@ class _Engine:
             if ((budget is not None and self.nodes > budget)
                     or (deadline is not None and time.monotonic() > deadline)):
                 return BUDGET_EXHAUSTED
-            # overlapping: try OUT first: it forces both neighbours IN
-            lits = [e, -e] if self.disjoint else [-e, e]
+            lits = [e, -e] if in_first else [-e, e]
             stack.append((e, iter(lits), len(self.trail)))
             while stack:
                 e, lits, mark = stack[-1]

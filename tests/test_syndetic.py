@@ -198,13 +198,14 @@ class TestSearchConfigurations:
 
     @pytest.mark.parametrize("pairing", [syndetic.DISJOINT, syndetic.OVERLAPPING])
     def test_blind_engine_fails_its_own_check(self, monkeypatch, pairing):
-        """An engine whose triple index is empty picks a selection holding a 3-GP;
-        verify_selection shares no table with it, so the search raises."""
+        """An engine that counts its pair clauses but none of its triples picks a
+        selection holding a 3-GP; verify_selection shares no table with it, so the
+        search raises."""
         init = syndetic._Engine.__init__
 
         def blind_init(self, *args):
             init(self, *args)
-            self.member = [[] for _ in self.member]
+            self.occ = [[c for c in cs if len(self.clauses[c]) == 2] for cs in self.occ]
         monkeypatch.setattr(syndetic._Engine, "__init__", blind_init)
         with pytest.raises(RuntimeError, match="invalid counterexample"):
             syndetic.search(syndetic.build_instance(10, pairing))
