@@ -21,13 +21,5 @@ namesakes alone.
 
 __version__ = "0.1.0"
 
-from .errors import (  # noqa: F401
-    DomainError,
-    GPFreeError,
-    MalformedSelection,
-    NotAGeometricProgression,
-    ResourceLimit,
-    TooFewSurvivors,
-    TrivialProgression,
-)
+from .errors import DomainError, GPFreeError, ResourceLimit  # noqa: F401
 from .limits import DEFAULT_LIMITS, Limits  # noqa: F401

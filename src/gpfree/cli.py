@@ -161,14 +161,11 @@ def cmd_gp_contains(args):
     from . import gpcore
     text = _read_text(args.input)
     try:
-        members = sorted({int(tok) for tok in text.split()})
+        members = list({int(tok) for tok in text.split()})
     except ValueError as exc:
         raise GPFreeError(f"bad member in {args.input}: {exc}") from None
-    budget = args.limits.process_max_n
-    if members and members[-1] > budget:
-        raise ResourceLimit(f"member {members[-1]} exceeds budget {budget}")
     mode = gpcore.INTEGER if args.mode == "int" else gpcore.RATIONAL
-    witness = gpcore.contains_gp(members, args.k, mode)
+    witness = gpcore.contains_gp(members, args.k, mode, args.limits)
     return {"witness": _gp_payload(witness) if witness else None}
 
 
@@ -221,10 +218,9 @@ def cmd_process_run(args):
         raise
     doc = process.run_to_dict(run_)
     if args.out:
-        text = process.run_to_json(run_)
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.write(process._canonical_json(doc))
         except OSError as exc:
             raise GPFreeError(f"cannot write {args.out}: {exc.strerror}") from None
         return {"written": args.out, "counts": doc["counts"], "config": doc["config"]}
@@ -233,11 +229,7 @@ def cmd_process_run(args):
 
 def _load_run(args):
     from . import process
-    run_ = process.run_from_json(_read_text(args.infile))
-    budget = args.limits.process_max_n
-    if run_.config.n > budget:
-        raise ResourceLimit(f"run horizon {run_.config.n} exceeds budget {budget}")
-    return run_
+    return process.run_from_json(_read_text(args.infile), args.limits)
 
 
 def cmd_process_gaps(args):

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every library error is a GPFreeError: a DomainError for an argument or
+document that no operation accepts, a ResourceLimit for one that a budget in
+gpfree.limits.Limits refuses.  The message says which rule failed.
+"""
 
 
 class GPFreeError(Exception):
@@ -6,23 +11,9 @@ class GPFreeError(Exception):
 
 
 class DomainError(GPFreeError):
-    """An argument lies outside an operation's stated domain."""
-
-
-class NotAGeometricProgression(DomainError):
-    """The given sequence has non-constant ratio or non-integer terms."""
-
-
-class TrivialProgression(DomainError):
-    """All terms equal; ratio-1 progressions are excluded throughout."""
-
-
-class TooFewSurvivors(DomainError):
-    """A gap report needs at least two survivors >= 16."""
-
-
-class MalformedSelection(DomainError):
-    """A candidate selection violates the pairing constraint."""
+    """An argument lies outside an operation's stated domain: a sequence that is
+    not a nontrivial GP, a run with too few survivors, a malformed run file or
+    selection."""
 
 
 class ResourceLimit(GPFreeError):

@@ -16,7 +16,8 @@ from itertools import count
 from math import gcd
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import DomainError, NotAGeometricProgression, TrivialProgression
+from .errors import DomainError, ResourceLimit
+from .limits import DEFAULT_LIMITS, Limits
 
 MAX_TERM = 2**64 - 1  # all terms must fit in 64 bits
 
@@ -53,8 +54,8 @@ class KGeoProgression(namedtuple("KGeoProgression", "k a b c")):
 def canonicalize(sequence: Sequence[int]) -> KGeoProgression:
     """Inverse of KGeoProgression.terms(): recover the unique (k, a, b, c) form.
 
-    Raises NotAGeometricProgression if the ratio is non-constant or not
-    above 1, TrivialProgression for a constant sequence.
+    Raises DomainError unless the terms are at least 3 positive integers with
+    one constant ratio above 1.
     """
     seq = list(sequence)
     k = len(seq)
@@ -63,16 +64,14 @@ def canonicalize(sequence: Sequence[int]) -> KGeoProgression:
     if any(t < 1 for t in seq):
         raise DomainError("terms must be positive integers")
     if len(set(seq)) == 1:
-        raise TrivialProgression(f"all terms equal {seq[0]}")
+        raise DomainError(f"all terms equal {seq[0]}")
     g = gcd(seq[0], seq[1])
     b, c = seq[0] // g, seq[1] // g
     if b >= c:
-        raise NotAGeometricProgression("sequence is not strictly increasing")
+        raise DomainError("sequence is not strictly increasing")
     for t0, t1 in zip(seq, seq[1:]):
         if t0 * c != t1 * b:
-            raise NotAGeometricProgression(
-                f"ratio {t1}/{t0} differs from {c}/{b}"
-            )
+            raise DomainError(f"ratio {t1}/{t0} differs from {c}/{b}")
     # the last term seq[0]*c^(k-1)/b^(k-1) is an integer and gcd(b, c) = 1, so b^(k-1) | seq[0]
     return KGeoProgression(k, seq[0] // b ** (k - 1), b, c)
 
@@ -169,22 +168,25 @@ def find_gps_with_term_at(n: int, k: int, position: int) -> list[KGeoProgression
 
 
 def contains_gp(
-    members: Sequence[int], k: int, mode: str = RATIONAL
+    members: Sequence[int], k: int, mode: str = RATIONAL, limits: Limits = DEFAULT_LIMITS
 ) -> Optional[KGeoProgression]:
     """First (in (c, b, a) order) nontrivial k-GP fully contained in the set.
 
     `members` must be deduplicated positive integers (order irrelevant).  In
     integer mode only ratio denominators b == 1 qualify.  Exact: every
-    candidate with largest term <= max(members) is tested against the set.
+    candidate with largest term <= max(members) is tested against the set,
+    so a member above `limits.process_max_n` raises ResourceLimit first.
     """
+    top = max(members, default=0)
+    if top > limits.process_max_n:
+        raise ResourceLimit(f"member {top} exceeds budget {limits.process_max_n}")
     if k < 3:
         raise DomainError(f"k must be >= 3, got {k}")
     if mode not in (RATIONAL, INTEGER):
         raise DomainError(f"unknown mode {mode!r}")
     if len(members) < k:
         return None
-    present = set(members)
-    return _first_gp(present.__contains__, max(present), k, mode)
+    return _first_gp(set(members).__contains__, top, k, mode)
 
 
 def _first_gp(member: Callable[[int], object], top: int, k: int, mode: str) -> Optional[KGeoProgression]:

@@ -29,7 +29,7 @@ from operator import ge, sub
 from typing import Optional
 
 from .bounds import gap_envelope, p_default
-from .errors import DomainError, ResourceLimit, TooFewSurvivors
+from .errors import DomainError, ResourceLimit
 from .gpcore import (
     INTEGER,
     RATIONAL,
@@ -262,7 +262,7 @@ def gap_report(run_: ProcessRun, epsilon: float) -> GapReport:
     alive[:16] = bytes(16)
     t = array("q", compress(range(len(alive)), alive))
     if len(t) < 2:
-        raise TooFewSurvivors("need at least two survivors >= 16")
+        raise DomainError("need at least two survivors >= 16")
     g = list(map(sub, islice(t, 1, None), t))
     # gap_envelope grows strictly in t >= 16, by far more than its rounding up to
     # process_max_n, so each gap value's ratio is largest where it first occurs
@@ -378,11 +378,17 @@ def run_to_dict(run_: ProcessRun) -> dict:
 
 def run_to_json(run_: ProcessRun) -> str:
     """Canonical (sorted-key, no-whitespace) JSON; byte-stable per config."""
-    return json.dumps(run_to_dict(run_), sort_keys=True, separators=(",", ":"))
+    return _canonical_json(run_to_dict(run_))
 
 
-def run_from_dict(d: dict) -> ProcessRun:
-    """Inverse of run_to_dict; DomainError unless the document is consistent."""
+def _canonical_json(doc: dict) -> str:
+    """run_to_json's text, from a run_to_dict document a caller already holds."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def run_from_dict(d: dict, limits: Limits = DEFAULT_LIMITS) -> ProcessRun:
+    """Inverse of run_to_dict; DomainError unless the document is consistent, then
+    ResourceLimit if its horizon exceeds `limits.process_max_n`."""
     try:
         cfg = ProcessConfig(ProcessKind(d["config"]["kind"]), d["config"]["n"], d["config"]["seed"])
         removed, counts = d["removed"], d["counts"]
@@ -397,14 +403,17 @@ def run_from_dict(d: dict) -> ProcessRun:
         raise DomainError(f"malformed run file: {exc!r}") from None
     if not ok:
         raise DomainError("malformed run file: bad removed list or counts")
-    if removed and (removed[0] < 1 or removed[-1] > cfg.n or any(map(ge, removed, removed[1:]))):
+    if removed and (removed[0] < 1 or removed[-1] > cfg.n
+                    or any(map(ge, removed, islice(removed, 1, None)))):
         raise DomainError(f"run file removals must increase strictly within [1, {cfg.n}]")
+    if cfg.n > limits.process_max_n:
+        raise ResourceLimit(f"run horizon {cfg.n} exceeds budget {limits.process_max_n}")
     return ProcessRun(cfg, tuple(removed), dropped)
 
 
-def run_from_json(s: str) -> ProcessRun:
+def run_from_json(s: str, limits: Limits = DEFAULT_LIMITS) -> ProcessRun:
     try:
-        return run_from_dict(json.loads(s))
+        return run_from_dict(json.loads(s), limits)
     except ValueError as exc:  # JSONDecodeError, or an int literal beyond int()'s digit limit
         raise DomainError(f"malformed run file: {exc}") from None
 

@@ -28,7 +28,7 @@ import time
 from collections import namedtuple
 from typing import Optional, Sequence
 
-from .errors import DomainError, MalformedSelection
+from .errors import DomainError
 from .gpcore import enumerate_3gp_triples
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -69,14 +69,14 @@ def verify_selection(instance: SearchInstance, selection: Sequence[int]) -> Opti
     """Certificate check on the clauses alone: the first contained triple, or None."""
     chosen = set(selection)
     if not chosen <= set(range(1, instance.n + 1)):
-        raise MalformedSelection("selection contains integers outside [1, N]")
+        raise DomainError("selection contains integers outside [1, N]")
     for e1, e2 in instance.pairs:
         if e1 not in chosen and e2 not in chosen:
-            raise MalformedSelection(f"pair {{{e1},{e2}}} has no selected element")
+            raise DomainError(f"pair {{{e1},{e2}}} has no selected element")
     if instance.pairing == DISJOINT:
         for e1, e2 in instance.pairs:
             if e1 in chosen and e2 in chosen:
-                raise MalformedSelection(f"pair {{{e1},{e2}}} has both elements selected")
+                raise DomainError(f"pair {{{e1},{e2}}} has both elements selected")
     for x, y, z in instance.triples:
         if x in chosen and y in chosen and z in chosen:
             return (x, y, z)

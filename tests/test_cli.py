@@ -432,7 +432,7 @@ class TestCleanExits:
             raise AssertionError("work started on an input above the budget")
         for name in ("verify_free", "gap_report", "_alive"):
             monkeypatch.setattr(process, name, must_not_run)
-        monkeypatch.setattr(gpcore, "contains_gp", must_not_run)
+        monkeypatch.setattr(gpcore, "_first_gp", must_not_run)  # contains_gp's search
         assert cli.main([a.format(**paths) for a in argv]) == 3
         assert self._err_line(capsys).startswith("resource limit: ")
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 from collections import defaultdict
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpfree import gpcore
-from gpfree.errors import DomainError, NotAGeometricProgression, TrivialProgression
+from gpfree.errors import DomainError, ResourceLimit
+from gpfree.limits import DEFAULT_LIMITS
 
 from oracles import brute_3gp_triples, brute_canonical_gp
 
@@ -47,11 +49,11 @@ class TestCanonicalize:
         assert (gp.k, gp.a, gp.b, gp.c) == (6, 1, 2, 3)
 
     def test_not_a_gp(self):
-        with pytest.raises(NotAGeometricProgression):
+        with pytest.raises(DomainError, match="^ratio 5/2 differs from 2/1$"):
             gpcore.canonicalize([1, 2, 5])
 
     def test_constant_is_trivial(self):
-        with pytest.raises(TrivialProgression):
+        with pytest.raises(DomainError, match="^all terms equal 7$"):
             gpcore.canonicalize([7, 7, 7])
 
     def test_decreasing_rejected(self):
@@ -155,6 +157,21 @@ class TestContains:
                 if all(v in sm for v in t)]
         w = gpcore.contains_gp(members, 3, gpcore.RATIONAL)
         assert (w is None) == (hits == [])
+
+    @pytest.mark.parametrize("k", [3, 2])
+    def test_member_above_budget_refused_first(self, k):
+        """The budget is checked before k and before any search, as `gp contains` did."""
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimit, match=f"^member {10**20} exceeds budget 10000000$"):
+            gpcore.contains_gp([1, 2, 10**20], k)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_budget_comes_from_limits(self):
+        members = [1, 2, 4, 200]
+        with pytest.raises(ResourceLimit, match="^member 200 exceeds budget 199$"):
+            gpcore.contains_gp(members, 3, gpcore.RATIONAL, DEFAULT_LIMITS._replace(process_max_n=199))
+        w = gpcore.contains_gp(members, 3, limits=DEFAULT_LIMITS._replace(process_max_n=200))
+        assert w.terms() == [1, 2, 4]
 
 
 class TestTripleEnumeration:

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpfree import bounds, gpcore, process
-from gpfree.errors import DomainError, ResourceLimit, TooFewSurvivors
+from gpfree.errors import DomainError, ResourceLimit
 from gpfree.limits import DEFAULT_LIMITS
 from oracles import brute_removal
 
@@ -258,7 +259,7 @@ class TestGapReport:
             process.gap_report(self._fake_run(20, {16, 17, 20}), eps)
 
     def test_too_few_survivors(self):
-        with pytest.raises(TooFewSurvivors):
+        with pytest.raises(DomainError, match="^need at least two survivors >= 16$"):
             process.gap_report(self._fake_run(20, {17}), 0.5)
 
     @pytest.mark.parametrize("enabled", [True, False])
@@ -395,6 +396,7 @@ class TestSerialization:
         {"n": 100.0},
         {"no_counts": True},
         {"removed": [True, 5]},              # a JSON boolean, increasing only as 1
+        {"n": 10**12},                       # malformed above the budget: DomainError first
     ])
     def test_malformed_run_rejected(self, edit):
         d = process.run_to_dict(process.ProcessRun(cfg(K6, 100, 1), (7, 8), 0))
@@ -419,6 +421,25 @@ class TestSerialization:
         text = process.run_to_json(process.ProcessRun(cfg(K6, 100, 1), (7,), 0))
         with pytest.raises(DomainError):
             process.run_from_json(text.replace('"removed":[7]', '"removed":[' + "9" * 5000 + "]"))
+
+    def test_horizon_above_budget_refused(self):
+        n = DEFAULT_LIMITS.process_max_n + 1
+        text = process.run_to_json(process.ProcessRun(cfg(K6, n, 1), (7,), 0))
+        with pytest.raises(ResourceLimit, match=f"^run horizon {n} exceeds budget {n - 1}$"):
+            process.run_from_json(text)
+        run = process.run_from_json(text, DEFAULT_LIMITS._replace(process_max_n=n))
+        assert run.config.n == n and run.removed == (7,)
+
+    def test_huge_horizon_refused_before_any_mask(self):
+        text = process.run_to_json(process.ProcessRun(cfg(K6, 10**12, 1), (7,), 0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match=f"^run horizon {10**12} exceeds budget"):
+                process.run_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_empty_removal_list_loads(self):
         run = process.ProcessRun(cfg(K6, 16, 1), (), 0)

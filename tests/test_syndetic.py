@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpfree import syndetic
-from gpfree.errors import DomainError, MalformedSelection
+from gpfree.errors import DomainError
 from gpfree.limits import DEFAULT_LIMITS
 
 from oracles import (
@@ -56,17 +56,17 @@ class TestVerifySelection:
 
     def test_missing_pair_rejected(self):
         inst = syndetic.build_instance(10, syndetic.DISJOINT)
-        with pytest.raises(MalformedSelection):
-            syndetic.verify_selection(inst, [1, 3, 8, 10])  # pair {5,6} unhit
+        with pytest.raises(DomainError, match=r"^pair \{5,6\} has no selected element$"):
+            syndetic.verify_selection(inst, [1, 3, 8, 10])
 
     def test_out_of_range_rejected(self):
         inst = syndetic.build_instance(10, syndetic.DISJOINT)
-        with pytest.raises(MalformedSelection):
+        with pytest.raises(DomainError, match=r"^selection contains integers outside \[1, N\]$"):
             syndetic.verify_selection(inst, [1, 3, 6, 8, 10, 11])
 
     def test_both_of_a_disjoint_pair_rejected(self):
         inst = syndetic.build_instance(10, syndetic.DISJOINT)
-        with pytest.raises(MalformedSelection, match="both elements"):
+        with pytest.raises(DomainError, match=r"^pair \{5,6\} has both elements selected$"):
             syndetic.verify_selection(inst, [1, 3, 5, 6, 8, 10])
 
     def test_reads_the_clauses_alone(self):
