@@ -208,3 +208,74 @@ class TestPDefault:
     def test_guard(self):
         with pytest.raises(DomainError):
             bounds.p_default(1)
+
+
+# Exact values, recorded from the implementation as it stood when these tests
+# were added.  A reordered float expression changes a printed row, and
+# pytest.approx would not see it.
+EXACT_X = (16, 1e3, 1e6, 1e9, 1e12, 1e15)
+EXACT_EPS = (0.05, 0.1, 0.5)
+# per x: (i, j) = (2, 3), then (1, 1), each at every EXACT_EPS
+H_SHORT_EXACT = {
+    16: [6.311195215493494, 8.283004421381245, 72.91185173543886,
+         56.88019571301504, 74.6512976533074, 657.1244043171007],
+    1e3: [11.268291302864883, 16.1096374706596, 281.1301211739018,
+          202.83391597080907, 289.98015450782754, 5060.458754785035],
+    1e6: [35.349612151603964, 59.82561154510523, 4026.3089374971532,
+          2490.1165609168943, 4214.268191587155, 283623.4389681832],
+    1e9: [102.77935521074647, 203.61624186955058, 48313.071275387956,
+          25876.467753181758, 51263.88568947333, 12163645.396989541],
+    1e12: [281.85218064522223, 648.0115089328763, 505910.01721305185,
+           236518.71468875234, 543784.5073451658, 424538801.670699],
+    1e15: [740.6178633405189, 1963.6941918370671, 4796354.094573782,
+           1968586.4744050016, 5219563.309588657, 12748865865.113209],
+}
+# per x: c_eps = 1.0, then criterion 7's fitted 0.1231371748043651, each at every EXACT_EPS
+GAP_ENVELOPE_EXACT = {
+    16: [5.509008901766543, 6.311195215493494, 18.72478032179619,
+         0.6783637921356303, 0.777142748474695, 2.305716547658353],
+    1e3: [9.424193940056531, 11.268291302864883, 47.07267426971946,
+          1.1604686165869793, 1.3875455559073802, 5.796396120059384],
+    1e6: [27.17273831695447, 35.349612151603964, 289.99774933972515,
+          3.345974228048092, 4.352851370778566, 35.70950355331819],
+    1e9: [73.02181518252515, 102.77935521074647, 1583.186228167064,
+          8.991700020662641, 12.655959428865621, 194.94907932567122],
+    1e12: [185.88345636529536, 281.85218064522223, 7875.292244210911,
+           22.889163659692947, 34.706481237102224, 969.7412377108598],
+    1e15: [454.8354919537946, 740.6178633405189, 36602.679061206705,
+           56.0071574799438, 91.19759130139686, 4507.150489867884],
+}
+# per x: (C, E) = (1.0, 1.0), then (0.01, 0.02), each at every EXACT_EPS
+SURVIVAL_BOUND_EXACT = {
+    16: [0.00405011946095525, 0.001815861595764551, 7.377873955145678e-09,
+         0.9988988049803644, 0.9987385572455315, 0.9962620475381471],
+    1e3: [8.074666152526565e-05, 1.277153996399808e-05, 3.602444645361208e-21,
+          0.9981169364051243, 0.9977488793205666, 0.9906296431322177],
+    1e6: [1.5813561457283622e-12, 4.444864284375518e-16, 1.1365216087233053e-126,
+          0.994580192776133, 0.9929550106782815, 0.9436503722039842],
+    1e9: [1.936549523351239e-32, 2.3093681846545003e-45, 0.0,
+          0.9855017634088183, 0.9796539606577309, 0.7285950082140263],
+    1e12: [1.869995766990223e-81, 3.918801209173497e-123, 0.0,
+           0.963505877227887, 0.9451889388998503, 0.20699545368296507],
+    1e15: [2.9339700126360758e-198, 2.27e-322, 0.0,
+           0.9130477511454035, 0.8623245486125948, 0.000661807511628431],
+}
+
+
+@pytest.mark.parametrize("x", EXACT_X)
+def test_h_short_exact(x):
+    got = [bounds.h_short(x, i, j, e) for i, j in ((2, 3), (1, 1)) for e in EXACT_EPS]
+    assert got == H_SHORT_EXACT[x]
+
+
+@pytest.mark.parametrize("x", EXACT_X)
+def test_gap_envelope_exact(x):
+    got = [bounds.gap_envelope(x, e, c) for c in (1.0, 0.1231371748043651) for e in EXACT_EPS]
+    assert got == GAP_ENVELOPE_EXACT[x]
+
+
+@pytest.mark.parametrize("x", EXACT_X)
+def test_survival_bound_exact(x):
+    got = [bounds.survival_bound(x, C, E, e) for C, E in ((1.0, 1.0), (0.01, 0.02))
+           for e in EXACT_EPS]
+    assert got == SURVIVAL_BOUND_EXACT[x]

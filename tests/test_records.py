@@ -4,12 +4,13 @@ The reprs and error messages are those of the earlier dataclass records;
 Limits adds its survival_max_trials field at the end.
 """
 
+import math
 import re
 from array import array
 
 import pytest
 
-from gpfree import divisor, gpcore, limits, syndetic
+from gpfree import bounds, divisor, gpcore, limits, syndetic
 from gpfree import process as P
 from gpfree.errors import DomainError
 
@@ -128,6 +129,18 @@ def test_validation_errors(make, message):
                  "unknown pairing 'cyclic'", id="build_instance"),
     pytest.param(lambda: divisor.factorize(0),
                  "n must be positive, got 0", id="factorize"),
+    # two bad arguments: the first check in each function's order wins
+    pytest.param(lambda: bounds.gap_envelope(math.nan, -1, 0),
+                 "x must be finite and >= 16, got nan", id="gap_envelope-x-first"),
+    pytest.param(lambda: bounds.h_short(1e4, 0, 3, -1),
+                 "epsilon must be positive and finite, got -1", id="h_short-epsilon-first"),
+    pytest.param(lambda: bounds.survival_bound(1e4, math.nan, 1, -1),
+                 "C and E must be nonnegative and finite, got nan and 1",
+                 id="survival_bound-fit-parameters-first"),
+    pytest.param(lambda: gpcore.find_gps_with_term_at(0, 2, 5),
+                 "n must be positive, got 0", id="find_gps_with_term_at-n-first"),
+    pytest.param(lambda: next(gpcore.enumerate_gps(2, 5, 10)),
+                 "k must be >= 3, got 2", id="enumerate_gps-k-first"),
 ])
 def test_entry_point_validation_errors(make, message):
     test_validation_errors(make, message)
