@@ -1,6 +1,6 @@
 """Geometric-progression-free sequences with small gaps: core machinery.
 
-Subpackages:
+Modules:
   gpcore    canonical k-GP representation, enumeration, membership
   divisor   d_k / d_{i,j}, segmented sieves, short-interval sums
   bounds    envelope functions and explicit constants

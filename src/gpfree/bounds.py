@@ -24,13 +24,10 @@ def _check_positive(name: str, v: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
-def _check_exponents(i: int, j: int) -> None:
-    if i < 1 or j < 1:
-        raise DomainError(f"exponents must be >= 1, got ({i}, {j})")
-
-
-def _exp(v: float) -> float:
-    """math.exp, with a float overflow reported as a DomainError."""
+def _growth(x: float, c: float) -> float:
+    """exp(c * log x / log log x), with a float overflow reported as a DomainError."""
+    lx = math.log(x)
+    v = c * lx / math.log(lx)
     try:
         return math.exp(v)
     except OverflowError:
@@ -43,7 +40,8 @@ def C_ij(i: int, j: int) -> float:
     (i + j) / (i * j) is one correctly rounded int division, the same float
     as float(Fraction(1, i) + Fraction(1, j)).
     """
-    _check_exponents(i, j)
+    if i < 1 or j < 1:
+        raise DomainError(f"exponents must be >= 1, got ({i}, {j})")
     return math.log(2) * ((i + j) / (i * j))
 
 
@@ -54,8 +52,7 @@ def h_short(x: float, i: int, j: int, epsilon: float) -> float:
     """Short-interval length exp((C_{i,j} + 2*eps) * log x / log log x)."""
     _check_x(x)
     _check_positive("epsilon", epsilon)
-    lx = math.log(x)
-    return _exp((C_ij(i, j) + 2 * epsilon) * lx / math.log(lx))
+    return _growth(x, C_ij(i, j) + 2 * epsilon)
 
 
 def gap_envelope(x: float, epsilon: float, c_eps: float) -> float:
@@ -63,8 +60,7 @@ def gap_envelope(x: float, epsilon: float, c_eps: float) -> float:
     _check_x(x)
     _check_positive("epsilon", epsilon)
     _check_positive("C_eps", c_eps)
-    lx = math.log(x)
-    v = c_eps * _exp((C_2_3 + epsilon) * lx / math.log(lx))
+    v = c_eps * _growth(x, C_2_3 + epsilon)
     if v == math.inf:
         raise DomainError(f"C_eps * exp(...) overflows a float at x = {x:g}")
     return v
@@ -76,8 +72,7 @@ def survival_bound(x: float, C: float, E: float, epsilon: float) -> float:
     if not (0 <= C < math.inf and 0 <= E < math.inf):  # NaN fails too
         raise DomainError(f"C and E must be nonnegative and finite, got {C} and {E}")
     _check_positive("epsilon", epsilon)
-    lx = math.log(x)
-    return math.exp(-C * E * _exp((C_2_3 + epsilon) * lx / math.log(lx)))
+    return math.exp(-C * E * _growth(x, C_2_3 + epsilon))
 
 
 def p_default(x: int) -> float:

@@ -25,12 +25,18 @@ RATIONAL = "rational"
 INTEGER = "integer"
 
 
+def _check_k(k: int, position: int = 0) -> None:
+    if k < 3:
+        raise DomainError(f"k must be >= 3, got {k}")
+    if not 0 <= position < k:
+        raise DomainError(f"position {position} out of range for k={k}")
+
+
 class KGeoProgression(namedtuple("KGeoProgression", "k a b c")):
     __slots__ = ()
 
     def __new__(cls, k: int, a: int, b: int, c: int):
-        if k < 3:
-            raise DomainError(f"k must be >= 3, got {k}")
+        _check_k(k)
         if a < 1 or b < 1 or c < 1:
             raise DomainError("a, b, c must be positive")
         if b >= c:
@@ -46,8 +52,7 @@ class KGeoProgression(namedtuple("KGeoProgression", "k a b c")):
         return [a * b ** (k - 1 - i) * c**i for i in range(k)]
 
     def term_at(self, position: int) -> int:
-        if not 0 <= position < self.k:
-            raise DomainError(f"position {position} out of range for k={self.k}")
+        _check_k(self.k, position)
         return self.a * self.b ** (self.k - 1 - position) * self.c**position
 
 
@@ -135,10 +140,7 @@ def enumerate_gps(k: int, position: int, max_term_at_position: int) -> Iterator[
     would never leave first-term 1; we fall back to a fair enumeration
     ordered by (c, b, a) in which every member appears at a finite index.
     """
-    if k < 3:
-        raise DomainError(f"k must be >= 3, got {k}")
-    if not 0 <= position < k:
-        raise DomainError(f"position {position} out of range for k={k}")
+    _check_k(k, position)
     bound = max_term_at_position
     if bound < 1:
         return
@@ -156,10 +158,7 @@ def find_gps_with_term_at(n: int, k: int, position: int) -> list[KGeoProgression
     """
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    if k < 3:
-        raise DomainError(f"k must be >= 3, got {k}")
-    if not 0 <= position < k:
-        raise DomainError(f"position {position} out of range for k={k}")
+    _check_k(k, position)
     if position == 0:
         raise DomainError("position 0 fixes only a*b**(k-1); infinitely many GPs")
     gps = (KGeoProgression(k, a, b, c)
@@ -180,8 +179,7 @@ def contains_gp(
     top = max(members, default=0)
     if top > limits.process_max_n:
         raise ResourceLimit(f"member {top} exceeds budget {limits.process_max_n}")
-    if k < 3:
-        raise DomainError(f"k must be >= 3, got {k}")
+    _check_k(k)
     if mode not in (RATIONAL, INTEGER):
         raise DomainError(f"unknown mode {mode!r}")
     if len(members) < k:

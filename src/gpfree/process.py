@@ -23,6 +23,7 @@ import math
 from array import array
 from collections import namedtuple
 from enum import Enum
+from functools import cache, partial
 from itertools import compress, islice
 from math import isqrt
 from operator import ge, sub
@@ -118,10 +119,10 @@ def _alive(run_: ProcessRun) -> bytearray:
 # the vector kernel
 
 _CHUNK = 1 << 16  # classes or progressions per array pass; bounds memory
-_NEAR = 1e-9      # coins this close to a log threshold are re-decided by math.log
+_NEAR = 1e-9      # coins this close to a log threshold are re-decided by p_default
 
 
-def _coin_array(seed: int, k: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _coin_array(seed: int, k: int, a, b, c):
     """Vector coin(): (coin_bits(seed, k, a, b, c) >> 11) * 2**-53, elementwise."""
     import numpy as np
     s33, golden, fm1, fm2 = (np.uint64(v) for v in (
@@ -139,7 +140,7 @@ def _coin_array(seed: int, k: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) 
 # kind -> (k, ratio mode, exponents (eb, ec) of the smaller removable term
 # a*b^eb*c^ec, exponents of the larger one, biased).  A fair coin (6-GP) removes
 # the smaller middle when below 1/2; a biased coin removes the larger term with
-# probability p(larger) = 1 - 1/log(larger + 2), else the smaller.
+# probability p_default(larger) = 1 - 1/log(larger + 2), else the smaller.
 _FAMILY = {
     ProcessKind.SIX_GP: (6, RATIONAL, (3, 2), (2, 3), False),
     ProcessKind.FIVE_GP: (5, RATIONAL, (3, 1), (2, 2), True),
@@ -168,7 +169,7 @@ def _class_blocks(kind: ProcessKind, n: int):
         b += 1
 
 
-def _progressions(counts: np.ndarray):
+def _progressions(counts):
     """(a, i) arrays of the progressions a = 1 .. counts[i] of every class i,
     at most _CHUNK at a time."""
     import numpy as np
@@ -185,16 +186,15 @@ def _progressions(counts: np.ndarray):
         yield a, cls
 
 
-def _below_p(u, larger: np.ndarray) -> np.ndarray:
-    """u < 1 - 1/log(larger + 2) elementwise, decided exactly as math.log does."""
+def _below_p(u, larger):
+    """u < p_default(larger) elementwise, decided exactly as p_default does."""
     import numpy as np
     thr = 1.0 - 1.0 / np.log(larger + 2.0)
     below = u < thr
     near = np.flatnonzero(np.abs(u - thr) <= _NEAR)
     if near.size:
         u_near = np.broadcast_to(u, larger.shape)[near].tolist()
-        below[near] = [ui < 1.0 - 1.0 / math.log(t + 2)
-                       for ui, t in zip(u_near, larger[near].tolist())]
+        below[near] = [ui < p_default(t) for ui, t in zip(u_near, larger[near].tolist())]
     return below
 
 
@@ -217,10 +217,8 @@ def run(config: ProcessConfig, workers: int = 1, limits: Limits = DEFAULT_LIMITS
         for a, i in _progressions(n // w_smaller):
             smaller, larger = a * w_smaller[i], a * w_larger[i]
             u = _coin_array(seed, k, a, b[i], c[i])
-            if biased:
-                removed = np.where(_below_p(u, larger), larger, smaller)
-            else:
-                removed = np.where(u < 0.5, smaller, larger)
+            below = _below_p(u, larger) if biased else u < 0.5
+            removed = np.where(below == biased, larger, smaller)
             inside = removed <= n
             hit[removed[inside]] = True
             dropped += removed.size - int(np.count_nonzero(inside))
@@ -339,13 +337,7 @@ def survival_probability(
         raise DomainError(f"6gp window needs h < sqrt(x); got h={h}, x={x}")
 
     window = range(x + 1, x + h + 1)
-    cache: dict[int, list] = {}
-
-    def events_of(n: int) -> list:
-        if n not in cache:
-            cache[n] = _removal_events(kind, n)
-        return cache[n]
-
+    events_of = cache(partial(_removal_events, kind))
     empties = 0
     for t in range(trials):
         ts = derive_seed(seed, t)

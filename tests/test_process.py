@@ -233,7 +233,7 @@ class TestGapReport:
 
     @pytest.mark.parametrize("t", [42, 44, 60, 68, 76, 143])
     def test_fitted_value_uses_the_scalar_envelope(self, t):
-        # at these t the numpy envelope differs from gap_envelope in the last bit
+        # fitted_c_eps equals 1 / gap_envelope(t, eps, 1.0) bit for bit
         for eps in (0.1, 0.5):
             rep = process.gap_report(self._fake_run(t + 1, {t, t + 1}), eps)
             assert rep.fitted_c_eps == 1 / bounds.gap_envelope(t, eps, 1.0)
