@@ -232,6 +232,11 @@ class TestKernelAnchors:
         assert _sha256_of_repr(table.values) == (
             "70c3cdc8ed479b7c1cc008b2e5ff0b696e6fa8aead4400eba423575cb6485d7d")
 
+    def test_window_with_255_values(self):  # the most distinct values one byte can code
+        table = divisor.sieve(divisor.Interval(10**9, 10**6), divisor.DivisorSpec.pair(1, 1))
+        assert _sha256_of_repr(table.values) == (
+            "94b4d0d7802d1d3795565291253ed43c00355e05598980d09b21341461df381f")
+
     def test_primes_upto_1e6(self):
         primes = divisor.primes_upto(10**6).tolist()
         assert len(primes) == 78498
@@ -256,12 +261,22 @@ class TestSums:
         with pytest.raises(ResourceLimit):
             divisor.mertens_sum(DEFAULT_LIMITS.mertens_max_x * 10)
 
-    def test_sum_matches_direct_fsum(self):
-        x, h, D = 500, 200, 0.35
+    # at D = 700 some terms underflow to subnormals, at D = 1000 all are 0.0
+    @pytest.mark.parametrize("D", [0.35, 700.0, 1000.0])
+    @pytest.mark.parametrize("i, j", [(2, 3), (1, 1)])
+    def test_sum_matches_direct_fsum(self, i, j, D):
+        x, h = 500, 200
         direct = math.fsum(
-            sorted(math.exp(-D * divisor.d_ij(n, 2, 3)) for n in range(x + 1, x + h + 1))
+            sorted(math.exp(-D * divisor.d_ij(n, i, j)) for n in range(x + 1, x + h + 1))
         )
-        assert divisor.sum_S(divisor.Interval(x, h), 2, 3, D) == direct
+        assert divisor.sum_S(divisor.Interval(x, h), i, j, D) == direct
+
+    def test_tiny_and_zero_sums(self):
+        assert divisor.sum_S(divisor.Interval(0, 1000), 2, 3, 700.0) == 5.994683338605941e-302
+        assert divisor.sum_S(divisor.Interval(0, 1000), 2, 3, 1000.0) == 0.0
+
+    def test_sum_anchor_with_292_values(self):  # more distinct values than one byte codes
+        assert divisor.sum_S(divisor.Interval(10**12, 10**6), 1, 1, 0.5) == 9506.529943611966
 
     @pytest.mark.parametrize("x, S", [
         (10**6, 367607.5788922655),
