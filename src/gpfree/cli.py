@@ -32,6 +32,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator, Sequence
 from itertools import islice
 
 from . import __version__
@@ -94,10 +95,36 @@ def _load_limits(path: str | None) -> Limits:
 _ROWS_CHUNK = 1 << 14  # list items per write: no command holds a long list's whole text
 
 
+class _Columns:
+    """Rows (a[t], b[t]) of two equally long int columns.  JSON writes them a
+    chunk at a time with one format string, making no row objects."""
+
+    def __init__(self, a: Sequence[int], b: Sequence[int]) -> None:
+        self.a, self.b = a, b
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.a, self.b)
+
+
 def _chunks(items):
     it = iter(items)
     while chunk := list(islice(it, _ROWS_CHUNK)):
         yield chunk
+
+
+def _json_items(items) -> Iterator[str]:
+    """", " and then each item in JSON, a chunk of items at a time."""
+    if isinstance(items, _Columns):
+        a, b = items.a, items.b
+        for lo in range(0, len(b), _ROWS_CHUNK):
+            col = b[lo : lo + _ROWS_CHUNK]
+            flat = [0, 0] * len(col)
+            flat[::2] = a[lo : lo + _ROWS_CHUNK]
+            flat[1::2] = col
+            yield ", [%d, %d]" * len(col) % tuple(flat)
+    else:
+        for chunk in _chunks(items):  # flat rows: no cycle to look for
+            yield ", " + json.dumps(chunk, check_circular=False)[1:-1]
 
 
 def _emit(args, payload: dict, seed=None, elapsed_ms: float = 0.0) -> None:
@@ -121,9 +148,9 @@ def _emit(args, payload: dict, seed=None, elapsed_ms: float = 0.0) -> None:
     head, *tails = json.dumps(envelope, sort_keys=True).rsplit(json.dumps("\0"), len(lists))
     sys.stdout.write(head)
     for key, tail in zip(lists, tails):
-        sys.stdout.write("[")
-        for i, chunk in enumerate(_chunks(payload[key])):  # flat rows: no cycle to look for
-            sys.stdout.write((", " if i else "") + json.dumps(chunk, check_circular=False)[1:-1])
+        items = _json_items(payload[key])
+        sys.stdout.write("[" + next(items, ", ")[2:])
+        sys.stdout.writelines(items)
         sys.stdout.write("]" + tail)
     sys.stdout.write("\n")
 
@@ -176,11 +203,12 @@ def cmd_divisor_table(args):
     from . import divisor
     spec = divisor.DivisorSpec(args.k, args.i, args.j)  # the record refuses k with i or j
     table = divisor.sieve(divisor.Interval(args.start, args.len), spec, args.limits)
+    n = range(args.start + 1, args.start + args.len + 1)
     return {
         "interval": {"x": args.start, "h": args.len},
         "spec": table.spec.label(),
         "columns": ["n", "value"],
-        "rows": table.rows(),  # streamed by _emit
+        "rows": _Columns(n, table.values),  # streamed by _emit
         "values": table.values,
     }
 
@@ -241,7 +269,7 @@ def cmd_process_gaps(args):
         "fitted_c_eps": rep.fitted_c_eps,
         "gap_count": len(rep.lengths),
         "columns": ["t", "gap"],
-        "rows": zip(rep.survivors, rep.lengths),  # streamed by _emit
+        "rows": _Columns(rep.survivors[:-1], rep.lengths),  # streamed by _emit
     }
 
 

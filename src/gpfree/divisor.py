@@ -8,7 +8,11 @@ prime power it contributes the lattice points under i*e + j*f <= alpha.  Both
 are multiplicative, which the test suite confirms against literal pair
 counting.
 
-`sieve` applies each prime power as list slices over the window.  Its prime
+The window sieve holds a bytearray of one-byte codes into the window's own
+list of distinct values and applies each prime power as one strided slice
+translated through a 256-byte code table.  `sieve` maps the codes back to
+ints; `sum_S` counts them and sums count * exp(-D*value) exactly, as integer
+significands rounded once, the rounding `mertens_sum` uses too.  The prime
 base, the primes <= sqrt(x+h), is picked from the segments of one odd-only
 bytearray sieve, bounded by `Limits.mertens_max_x`.  Only `mertens_sum`, which
 sums 1/p over the same segments as arrays, imports numpy (inside the
@@ -21,11 +25,11 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter, namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import isqrt
-from operator import add, mul
+from operator import add, mul, ne
 
 from .errors import DomainError, ResourceLimit
 from .limits import DEFAULT_LIMITS, Limits
@@ -190,12 +194,16 @@ class DivisorTable(namedtuple("DivisorTable", "interval spec values")):
 
     __slots__ = ()
 
-    def rows(self):
-        return zip(range(self.interval.x + 1, self.interval.x + self.interval.h + 1), self.values)
+
+_ESC = 255  # the code of every value past a window's first 255 distinct ones
 
 
-def _sieve_values(interval: Interval, spec: DivisorSpec, limits: Limits) -> list[int]:
-    """spec.of(n) for n = x+1 .. x+h, as a list."""
+def _sieve_codes(
+    interval: Interval, spec: DivisorSpec, limits: Limits
+) -> tuple[bytearray, list[int | None], dict[int, int]]:
+    """spec.of(n) for n = x+1 .. x+h as (codes, values, escaped): one byte code
+    per n, the value of each code (None for the unused codes and _ESC), and
+    the exact value at each position t whose code is _ESC."""
     if interval.h > limits.sieve_max_len:
         raise ResourceLimit(
             f"window length {interval.h} exceeds budget {limits.sieve_max_len}"
@@ -208,56 +216,117 @@ def _sieve_values(interval: Interval, spec: DivisorSpec, limits: Limits) -> list
             f"{limits.mertens_max_x}"
         )
     W = [spec.weight(a) for a in range(64)]  # n < 2**63
-    vals = [1] * h
-    if max(W) == 1:
-        return vals
-    # Only primes with p**s | n change the value.  With s == 1 a prime above
-    # sqrt(x+h) can still divide n once; `prod` collects the sieved part of n
-    # so that such a cofactor shows.
-    s = next(a for a, w in enumerate(W) if w > 1)
-    prod = [1] * h if s == 1 else None
-    for p in primes_upto(_iroot(end, max(s, 2))):
-        q = p**s
-        o = (-n0) % q
-        if o >= h:
-            continue
-        # wt[r] and pk[r] are the weight and the power of p at the r-th
-        # multiple of p**s in the window; the multiples of p**(s+1),
-        # p**(s+2), ... are nested slices of them
-        wt = [W[s]] * ((h - 1 - o) // q + 1)
-        pk = [q] * len(wt) if prod is not None else None
-        a, qq = s + 1, q * p
-        while qq <= end and (oo := (-n0) % qq) < h:
-            step = qq // q
-            r = range((oo - o) // q, len(wt), step)
-            wt[r.start :: step] = repeat(W[a], len(r))
-            if pk is not None:
-                pk[r.start :: step] = repeat(qq, len(r))
-            a, qq = a + 1, qq * p
-        vals[o::q] = map(mul, vals[o::q], wt)
-        if pk is not None:
-            prod[o::q] = map(mul, prod[o::q], pk)
+    codes = bytearray(h)  # code 0 is the value 1
+    values: list[int | None] = [1]
+    index = {1: 0}
+    escaped: dict[int, int] = {}
+    # tables[a] maps a code to the code of its value * W[a] / W[a-1], for the
+    # codes in `known[a]`; the others are filled in when a slice first holds them
+    tables: dict[int, bytearray] = {}
+    known: dict[int, bytes] = {}
 
-    if prod is not None:
-        w1 = W[1]
-        vals = [v * w1 if m != n else v for v, m, n in zip(vals, prod, range(n0, end + 1))]
-    return vals
+    def scale(old: bytearray, where: Sequence[int], a: int) -> bytearray:
+        """old, the codes at positions `where`, with the value of each times
+        W[a] / W[a-1]: the power of some p at those n goes from a-1 to a."""
+        if a not in tables:
+            tables[a], known[a] = bytearray(range(256)), bytes((_ESC,))
+        table = tables[a]
+        fresh = old.translate(None, known[a])
+        while fresh:
+            c = fresh[0]
+            v = values[c] // W[a - 1] * W[a]
+            if v not in index and len(values) < _ESC:
+                index[v] = len(values)
+                values.append(v)
+            table[c] = index.get(v, _ESC)
+            known[a] += bytes((c,))
+            fresh = fresh.translate(None, bytes((c,)))
+        new = old.translate(table)
+        t = new.find(_ESC)
+        while t >= 0:
+            n = where[t]
+            escaped[n] = (escaped[n] if old[t] == _ESC else values[old[t]]) // W[a - 1] * W[a]
+            t = new.find(_ESC, t + 1)
+        return new
+
+    if max(W) > 1:
+        # Only primes with p**s | n change the value.  With s == 1 a prime above
+        # sqrt(x+h) can still divide n once; `prod` collects the sieved part of n
+        # so that such a cofactor shows.
+        s = next(a for a, w in enumerate(W) if w > 1)
+        prod = [1] * h if s == 1 else None
+        for p in primes_upto(_iroot(end, max(s, 2))):
+            # the multiples of p**s, p**(s+1), ... in the window are nested slices
+            a, q = s, p**s
+            while (o := (-n0) % q) < h:  # so q <= x+h
+                if W[a] != W[a - 1]:
+                    codes[o::q] = scale(codes[o::q], range(o, h, q), a)
+                if prod is not None:
+                    prod[o::q] = map(mul, prod[o::q], repeat(p))
+                a, q = a + 1, q * p
+        if prod is not None:
+            where = list(compress(range(h), map(ne, prod, range(n0, end + 1))))
+            for t, c in zip(where, scale(bytearray(map(codes.__getitem__, where)), where, 1)):
+                codes[t] = c
+    return codes, values + [None] * (256 - len(values)), escaped
 
 
 def sieve(interval: Interval, spec: DivisorSpec, limits: Limits = DEFAULT_LIMITS) -> DivisorTable:
     """Segmented bulk evaluation over (x, x+h].
 
     Let s be the least exponent whose weight exceeds 1 (s = k for d_k,
-    min(i, j) for d_{i,j}); only primes p with p**s | n matter.  Each prime
-    power p**s is applied as one strided slice of the window, with the
-    exponent of p raised by nested slices over p**(s+1), p**(s+2), ....  For
-    s = 1, whatever is left of n after dividing out the primes <= sqrt(x+h)
-    is a prime with exponent 1.
+    min(i, j) for d_{i,j}); only primes p with p**s | n matter.  The window
+    is a bytearray of one-byte codes into its own list of distinct values.
+    Each prime power p**a, a >= s, is one strided slice of it, translated
+    (bytes.translate) by a 256-byte table that takes a code to the code of
+    its value times W(a)/W(a-1); a table entry is filled the first time a
+    slice holds its code.  A window's values past its first 255 distinct
+    ones share the escape code 255, and their positions keep exact ints.
+    For s = 1, whatever is left of n after dividing out the primes <=
+    sqrt(x+h) is a prime with exponent 1; a per-n list of the sieved part of
+    n finds it.
 
     Raises ResourceLimit when h exceeds `limits.sieve_max_len` or the prime
     base sqrt(x+h) exceeds `limits.mertens_max_x`.
     """
-    return DivisorTable(interval, spec, tuple(_sieve_values(interval, spec, limits)))
+    codes, values, escaped = _sieve_codes(interval, spec, limits)
+    out = map(values.__getitem__, codes)
+    if escaped:
+        out = list(out)
+        for t, v in escaped.items():
+            out[t] = v
+    return DivisorTable(interval, spec, tuple(out))
+
+
+_SAMPLE = 256  # codes a histogram looks at to pick the next one to peel off
+_SHORT = 1 << 12  # codes a Counter takes once peeling stops
+
+
+def _histogram(codes: bytearray) -> Counter:
+    """How often each byte occurs in `codes`.
+
+    Peels off the commonest byte of a short sample with one bytes.translate
+    at a time, while each such pass removes at least 1/16 of what is left,
+    and counts the short rest with a Counter.
+    """
+    counts: Counter = Counter()
+    rest = bytes(codes)
+    while len(rest) > _SHORT:
+        c = Counter(rest[:_SAMPLE]).most_common(1)[0][0]
+        left = rest.translate(None, bytes((c,)))
+        counts[c] = len(rest) - len(left)
+        rest = left
+        if counts[c] * 16 < len(rest):
+            break
+    counts.update(rest)
+    return counts
+
+
+def _round_sum(totals: dict[int, int]) -> float:
+    """The double nearest sum(t * 2**(e-53)) over the items (e, t) of totals,
+    rounded once by one int/int division: what math.fsum over the terms gives."""
+    emin = min(totals)
+    return sum(t << (e - emin) for e, t in totals.items()) / (1 << (53 - emin))
 
 
 def sum_S(
@@ -265,16 +334,23 @@ def sum_S(
 ) -> float:
     """S_{i,j}(x, h, D) = sum over n in (x, x+h] of exp(-D * d_{i,j}(n)).
 
-    math.exp runs once per distinct value of d_{i,j}, and math.fsum takes
-    that term once per n it belongs to.  fsum is exactly rounded, so the
-    order of the terms does not matter and the result is deterministic.
+    The sieve's codes are counted (`_histogram`), and math.exp runs once per
+    distinct value of d_{i,j}.  Each term is an exact double m * 2**(e-53)
+    with a 53-bit int m, so count * m is summed exactly per exponent e and
+    rounded once, to the double math.fsum over the h terms gives.
     """
     if not 0 < D < math.inf:  # written so that NaN fails too
         raise DomainError(f"D must be positive and finite, got {D}")
-    counts = Counter(_sieve_values(interval, DivisorSpec.pair(i, j), limits))
-    return math.fsum(chain.from_iterable(
-        repeat(math.exp(-D * v), c) for v, c in counts.items()
-    ))
+    codes, values, escaped = _sieve_codes(interval, DivisorSpec.pair(i, j), limits)
+    counts = Counter(escaped.values())
+    for c, m in _histogram(codes).items():
+        if c != _ESC:
+            counts[values[c]] += m
+    totals: Counter = Counter()
+    for v, m in counts.items():
+        mant, e = math.frexp(math.exp(-D * v))
+        totals[e] += m * int(math.ldexp(mant, 53))
+    return _round_sum(totals)
 
 
 def mertens_sum(x: int, limits: Limits = DEFAULT_LIMITS) -> float:
@@ -300,5 +376,4 @@ def mertens_sum(x: int, limits: Limits = DEFAULT_LIMITS) -> float:
                                 np.add.reduceat(m >> 26, starts).tolist(),
                                 np.add.reduceat(m & ((1 << 26) - 1), starts).tolist()):
             totals[e] += (high << 26) + low
-    emin = min(totals)
-    return sum(t << (e - emin) for e, t in totals.items()) / (1 << (53 - emin))
+    return _round_sum(totals)

@@ -159,7 +159,7 @@ def test_criterion_6_jensen_bound():
         D = rng.uniform(0.05, 1.5)
         interval = divisor.Interval(x, h)
         table = divisor.sieve(interval, divisor.DivisorSpec.pair(i, j))
-        total = sum(v for _, v in table.rows())
+        total = sum(table.values)
         lhs = divisor.sum_S(interval, i, j, D)
         rhs = h * math.exp(-(D / h) * total)
         margin = lhs / rhs

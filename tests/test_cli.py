@@ -80,6 +80,22 @@ class TestStreamedRows:
         assert capsys.readouterr().out == self._one_shot_csv(payload["columns"], rows)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+    @pytest.mark.parametrize("size", [0, 1, 7, 50])
+    def test_columns_match_one_shot(self, capsys, monkeypatch, chunk, size):
+        monkeypatch.setattr(cli, "_ROWS_CHUNK", chunk)
+        a, b = range(2**62, 2**62 + size), [-i * i for i in range(size)]
+        rows = list(zip(a, b))
+        payload = {"columns": ["n", "value"], "values": b}
+        args = SimpleNamespace(_argv=["x"], format="json")
+        cli._emit(args, {**payload, "rows": cli._Columns(a, b)})
+        envelope = {"version": __version__, "command": ["x"], "seed": None,
+                    "payload": {**payload, "rows": rows}, "elapsed_ms": 0.0}
+        assert capsys.readouterr().out == json.dumps(envelope, sort_keys=True) + "\n"
+        args.format = "csv"
+        cli._emit(args, {**payload, "rows": cli._Columns(a, b)})
+        assert capsys.readouterr().out == self._one_shot_csv(payload["columns"], rows)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
     def test_gaps_match_one_shot(self, capsys, monkeypatch, tmp_path, chunk):
         monkeypatch.setattr(cli, "_ROWS_CHUNK", chunk)
         run = process.run(process.ProcessConfig(process.ProcessKind.SIX_GP, 2000, 1))

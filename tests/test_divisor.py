@@ -139,16 +139,16 @@ class TestPointwise:
 class TestSieve:
     def test_d2_prefix(self):
         table = divisor.sieve(divisor.Interval(0, 12), divisor.DivisorSpec.single(2))
-        assert [v for _, v in table.rows()] == [1, 1, 1, 2, 1, 1, 1, 2, 2, 1, 1, 2]
+        assert list(table.values) == [1, 1, 1, 2, 1, 1, 1, 2, 2, 1, 1, 2]
 
     def test_d1_single_cell(self):
         table = divisor.sieve(divisor.Interval(5, 1), divisor.DivisorSpec.single(1))
-        assert [v for _, v in table.rows()] == [4]
+        assert list(table.values) == [4]
 
     def test_segment_matches_pointwise_high(self):
         x, h = 10**6, 10**3
         table = divisor.sieve(divisor.Interval(x, h), divisor.DivisorSpec.pair(3, 2))
-        for n, v in table.rows():
+        for n, v in enumerate(table.values, x + 1):
             assert v == divisor.d_ij(n, 3, 2)
 
     def test_window_budget(self):
@@ -167,8 +167,26 @@ class TestSieve:
     @settings(max_examples=120, deadline=None)
     def test_segment_matches_pointwise_random(self, window, spec):
         table = divisor.sieve(divisor.Interval(*window), spec)
-        for n, v in table.rows():
+        for n, v in enumerate(table.values, window[0] + 1):
             assert v == spec.of(n)
+
+    @given(window=windows(), spec=SPECS, esc=st.sampled_from([1, 3, 16]))
+    @example(window=(10**6, 1500), spec=divisor.DivisorSpec.pair(1, 1), esc=3)
+    @example(window=(0, 1024), spec=divisor.DivisorSpec.single(1), esc=1)
+    @settings(max_examples=60, deadline=None)
+    def test_escaped_values_stay_exact(self, window, spec, esc):
+        """With codes for fewer values than the window holds, the positions of
+        the escape code keep their exact values, in the table and in the sum."""
+        x, h = window
+        D = 0.35
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(divisor, "_ESC", esc)
+            table = divisor.sieve(divisor.Interval(x, h), spec)
+            pair = (spec.i, spec.j) if spec.k is None else (1, spec.k)
+            S = divisor.sum_S(divisor.Interval(x, h), *pair, D)
+        for n, v in enumerate(table.values, x + 1):
+            assert v == spec.of(n)
+        assert S == math.fsum(math.exp(-D * divisor.d_ij(n, *pair)) for n in range(x + 1, x + h + 1))
 
     @given(h=st.integers(1, 30), slack=st.integers(0, 1000), spec=CUBE_SPECS)
     @example(h=1, slack=0, spec=divisor.DivisorSpec.single(3))
@@ -178,7 +196,7 @@ class TestSieve:
         x = INT64_MAX - h - slack
         limits = DEFAULT_LIMITS._replace(mertens_max_x=2**32)
         table = divisor.sieve(divisor.Interval(x, h), spec, limits)
-        for n, v in table.rows():
+        for n, v in enumerate(table.values, x + 1):
             assert v == _cube_part_value(n, spec, cube_root_primes)
 
     def test_powers_of_two_up_to_2_62(self):
