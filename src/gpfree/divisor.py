@@ -195,7 +195,7 @@ class DivisorTable(namedtuple("DivisorTable", "interval spec values")):
     __slots__ = ()
 
 
-_ESC = 255  # the code of every value past a window's first 255 distinct ones
+_ESC = 255  # the code of every value the sieve meets once codes 0..254 are taken
 
 
 def _sieve_codes(
@@ -220,18 +220,17 @@ def _sieve_codes(
     values: list[int | None] = [1]
     index = {1: 0}
     escaped: dict[int, int] = {}
-    # tables[a] maps a code to the code of its value * W[a] / W[a-1], for the
-    # codes in `known[a]`; the others are filled in when a slice first holds them
-    tables: dict[int, bytearray] = {}
-    known: dict[int, bytes] = {}
+    # tables[a] = (table, known): table maps each code in `known` to the code of
+    # its value * W[a] / W[a-1]; the others are filled in when a slice first holds them
+    tables: dict[int, tuple[bytearray, bytearray]] = {}
 
     def scale(old: bytearray, where: Sequence[int], a: int) -> bytearray:
         """old, the codes at positions `where`, with the value of each times
         W[a] / W[a-1]: the power of some p at those n goes from a-1 to a."""
         if a not in tables:
-            tables[a], known[a] = bytearray(range(256)), bytes((_ESC,))
-        table = tables[a]
-        fresh = old.translate(None, known[a])
+            tables[a] = bytearray(range(256)), bytearray((_ESC,))
+        table, known = tables[a]
+        fresh = old.translate(None, known)
         while fresh:
             c = fresh[0]
             v = values[c] // W[a - 1] * W[a]
@@ -239,7 +238,7 @@ def _sieve_codes(
                 index[v] = len(values)
                 values.append(v)
             table[c] = index.get(v, _ESC)
-            known[a] += bytes((c,))
+            known.append(c)
             fresh = fresh.translate(None, bytes((c,)))
         new = old.translate(table)
         t = new.find(_ESC)
@@ -280,8 +279,8 @@ def sieve(interval: Interval, spec: DivisorSpec, limits: Limits = DEFAULT_LIMITS
     Each prime power p**a, a >= s, is one strided slice of it, translated
     (bytes.translate) by a 256-byte table that takes a code to the code of
     its value times W(a)/W(a-1); a table entry is filled the first time a
-    slice holds its code.  A window's values past its first 255 distinct
-    ones share the escape code 255, and their positions keep exact ints.
+    slice holds its code.  Once codes 0..254 are taken, further values share
+    the escape code 255, and their positions keep exact ints.
     For s = 1, whatever is left of n after dividing out the primes <=
     sqrt(x+h) is a prime with exponent 1; a per-n list of the sieved part of
     n finds it.
@@ -358,8 +357,8 @@ def mertens_sum(x: int, limits: Limits = DEFAULT_LIMITS) -> float:
 
     numpy, imported here, splits each sieve segment's 1/p into exact doubles
     m * 2**(e-53) with 53-bit ints m (np.frexp).  The m are summed exactly, per
-    exponent e and in 26-bit halves so that no int64 sum overflows; one int/int
-    division rounds the total once, to the double math.fsum over the 1/p gives.
+    exponent e and in 26-bit halves so that no int64 sum overflows; `_round_sum`
+    rounds the total once, to the double math.fsum over the 1/p gives.
     """
     if x < 3:
         raise DomainError(f"x must be >= 3, got {x}")
