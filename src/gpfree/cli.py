@@ -113,7 +113,7 @@ def _chunks(items):
 
 
 def _json_items(items) -> Iterator[str]:
-    """", " and then each item in JSON, a chunk of items at a time."""
+    """Each item in JSON, after ", ", a chunk of items at a time."""
     if isinstance(items, _Columns):
         a, b = items.a, items.b
         for lo in range(0, len(b), _ROWS_CHUNK):

@@ -306,7 +306,8 @@ def _histogram(codes: bytearray) -> Counter:
 
     Peels off the commonest byte of a short sample with one bytes.translate
     at a time, while each such pass removes at least 1/16 of what is left,
-    and counts the short rest with a Counter.
+    and counts the rest with a Counter, which costs far more per byte than
+    a translate pass.
     """
     counts: Counter = Counter()
     rest = bytes(codes)

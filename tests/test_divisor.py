@@ -279,7 +279,7 @@ class TestSums:
         with pytest.raises(ResourceLimit):
             divisor.mertens_sum(DEFAULT_LIMITS.mertens_max_x * 10)
 
-    # at D = 700 some terms underflow to subnormals, at D = 1000 all are 0.0
+    # at D = 700 every term with d >= 2 underflows to 0.0, at D = 1000 every term does
     @pytest.mark.parametrize("D", [0.35, 700.0, 1000.0])
     @pytest.mark.parametrize("i, j", [(2, 3), (1, 1)])
     def test_sum_matches_direct_fsum(self, i, j, D):
