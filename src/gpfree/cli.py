@@ -21,8 +21,7 @@ the rows alone.  A file that cannot be read or written exits 1.
 Only `process run` and `divisor mertens` import numpy, inside the command,
 so their `elapsed_ms` includes that import; the payload is unchanged.  Long
 lists in a payload (`rows`, `values`) go out a fixed-size chunk at a time in
-JSON, and one row at a time in CSV, with the same text a one-shot dump would
-give.
+JSON and in CSV alike, with the same text a one-shot dump would give.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import json
 import os
 import sys
 import time
-from collections.abc import Iterator, Sequence
-from itertools import islice
+from collections.abc import Iterator
+from itertools import islice, tee
 
 from . import __version__
 from .errors import GPFreeError, ResourceLimit
@@ -92,51 +91,34 @@ def _load_limits(path: str | None) -> Limits:
     return DEFAULT_LIMITS._replace(**overrides)
 
 
-_ROWS_CHUNK = 1 << 14  # list items per write: no command holds a long list's whole text
+_ROWS_CHUNK = 1 << 14  # rows per write: no command holds a long list's whole text
 
 
-class _Columns:
-    """Rows (a[t], b[t]) of two equally long int columns.  JSON writes them a
-    chunk at a time with one format string, making no row objects."""
-
-    def __init__(self, a: Sequence[int], b: Sequence[int]) -> None:
-        self.a, self.b = a, b
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self.a, self.b)
-
-
-def _chunks(items):
-    it = iter(items)
-    while chunk := list(islice(it, _ROWS_CHUNK)):
-        yield chunk
+def _row_chunks(columns, fmt: str) -> Iterator[str]:
+    """`fmt % row` for each row of the equally long `columns`, a chunk of rows at a time."""
+    its = [iter(c) for c in columns]
+    k = len(its)
+    while head := list(islice(its[0], _ROWS_CHUNK)):
+        flat = head * k
+        for i in range(1, k):
+            flat[i::k] = islice(its[i], len(head))
+        flat[::k] = head
+        yield fmt * len(head) % tuple(flat)
 
 
-def _json_items(items) -> Iterator[str]:
-    """Each item in JSON, after ", ", a chunk of items at a time."""
-    if isinstance(items, _Columns):
-        a, b = items.a, items.b
-        for lo in range(0, len(b), _ROWS_CHUNK):
-            col = b[lo : lo + _ROWS_CHUNK]
-            flat = [0, 0] * len(col)
-            flat[::2] = a[lo : lo + _ROWS_CHUNK]
-            flat[1::2] = col
-            yield ", [%d, %d]" * len(col) % tuple(flat)
-    else:
-        for chunk in _chunks(items):  # flat rows: no cycle to look for
-            yield ", " + json.dumps(chunk, check_circular=False)[1:-1]
+# Each list's row format after ", " in JSON.  A payload's "rows" holds its
+# columns, and %r writes an int or finite float as json.dumps and csv do.
+_JSON_ROWS = {"rows": ", [%r, %r]", "values": ", %r"}
 
 
 def _emit(args, payload: dict, seed=None, elapsed_ms: float = 0.0) -> None:
     if getattr(args, "format", "json") == "csv":  # only commands with rows take --format
-        import csv
-        writer = csv.writer(sys.stdout)  # one row per write: never the whole text
-        writer.writerow(payload["columns"])
-        writer.writerows(payload["rows"])
+        sys.stdout.write(",".join(payload["columns"]) + "\r\n")
+        sys.stdout.writelines(_row_chunks(payload["rows"], "%r,%r\r\n"))
         return
     # "rows" and "values" go out a chunk at a time where their stand-ins fall in the
     # text: the last NULs in it, as only the command line comes before the payload
-    lists = sorted(key for key in ("rows", "values") if key in payload)
+    lists = sorted(_JSON_ROWS.keys() & payload.keys())
     envelope = {
         "version": __version__,
         "command": args._argv,
@@ -148,9 +130,10 @@ def _emit(args, payload: dict, seed=None, elapsed_ms: float = 0.0) -> None:
     head, *tails = json.dumps(envelope, sort_keys=True).rsplit(json.dumps("\0"), len(lists))
     sys.stdout.write(head)
     for key, tail in zip(lists, tails):
-        items = _json_items(payload[key])
-        sys.stdout.write("[" + next(items, ", ")[2:])
-        sys.stdout.writelines(items)
+        columns = payload[key] if key == "rows" else [payload[key]]
+        chunks = _row_chunks(columns, _JSON_ROWS[key])
+        sys.stdout.write("[" + next(chunks, ", ")[2:])
+        sys.stdout.writelines(chunks)
         sys.stdout.write("]" + tail)
     sys.stdout.write("\n")
 
@@ -208,7 +191,7 @@ def cmd_divisor_table(args):
         "interval": {"x": args.start, "h": args.len},
         "spec": table.spec.label(),
         "columns": ["n", "value"],
-        "rows": _Columns(n, table.values),  # streamed by _emit
+        "rows": (n, table.values),  # columns, streamed by _emit
         "values": table.values,
     }
 
@@ -269,7 +252,7 @@ def cmd_process_gaps(args):
         "fitted_c_eps": rep.fitted_c_eps,
         "gap_count": len(rep.lengths),
         "columns": ["t", "gap"],
-        "rows": _Columns(rep.survivors[:-1], rep.lengths),  # streamed by _emit
+        "rows": (rep.survivors[:-1], rep.lengths),  # columns, streamed by _emit
     }
 
 
@@ -334,14 +317,14 @@ def cmd_bounds_envelope(args):
     # evaluate both ends before _emit writes the first row
     for p in {0, args.points - 1}:
         bounds.gap_envelope(args.x0 * ratio**p, args.epsilon, args.c_eps)
-    xs = (args.x0 * ratio**p for p in range(args.points))
-    rows = ([x, bounds.gap_envelope(x, args.epsilon, args.c_eps)] for x in xs)
+    xs, at = tee(args.x0 * ratio**p for p in range(args.points))
+    values = (bounds.gap_envelope(x, args.epsilon, args.c_eps) for x in at)
     return {
         "C_2_3": bounds.C_2_3,
         "epsilon": args.epsilon,
         "c_eps": args.c_eps,
         "columns": ["x", "value"],
-        "rows": rows,  # streamed by _emit
+        "rows": (xs, values),  # columns, streamed by _emit
     }
 
 

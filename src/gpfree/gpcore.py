@@ -51,10 +51,6 @@ class KGeoProgression(namedtuple("KGeoProgression", "k a b c")):
         k, a, b, c = self.k, self.a, self.b, self.c
         return [a * b ** (k - 1 - i) * c**i for i in range(k)]
 
-    def term_at(self, position: int) -> int:
-        _check_k(self.k, position)
-        return self.a * self.b ** (self.k - 1 - position) * self.c**position
-
 
 def canonicalize(sequence: Sequence[int]) -> KGeoProgression:
     """Inverse of KGeoProgression.terms(): recover the unique (k, a, b, c) form.

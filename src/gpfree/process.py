@@ -98,9 +98,6 @@ class ProcessRun(namedtuple("ProcessRun", "config removed dropped_outside")):
 
     __slots__ = ()
 
-    def removed_set(self) -> frozenset[int]:
-        return frozenset(self.removed)
-
     def survivors(self) -> list[int]:
         alive = _alive(self)
         return list(compress(range(len(alive)), alive))

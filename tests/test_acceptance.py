@@ -111,11 +111,11 @@ def test_criterion_4_process_freeness_ten_seeds():
     # hitting property: exhaustive scan at N=1e5, one seed per kind
     n = 10**5
     for kind, k in ((K6, 6), (K5, 5)):
-        removed = process.run(process.ProcessConfig(kind, n, 1), workers=8).removed_set()
+        removed = frozenset(process.run(process.ProcessConfig(kind, n, 1), workers=8).removed)
         for gp in gpcore.enumerate_gps(k, k - 1, n):
             if not removed & set(gp.terms()):
                 bad.append((kind.value, "unhit", (gp.a, gp.b, gp.c)))
-    removed = process.run(process.ProcessConfig(K3, n, 1), workers=8).removed_set()
+    removed = frozenset(process.run(process.ProcessConfig(K3, n, 1), workers=8).removed)
     for r in range(2, math.isqrt(n) + 1):
         for a in range(1, n // (r * r) + 1):
             if not {a * r, a * r * r} & removed:

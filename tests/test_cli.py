@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpfree import DEFAULT_LIMITS, __version__, cli, divisor, gpcore, process
+from gpfree import DEFAULT_LIMITS, __version__, bounds, cli, divisor, gpcore, process
 from test_process import full_run_empties
 
 
@@ -71,12 +71,16 @@ class TestStreamedRows:
         payload = {"columns": ["i", "half"], "rows": rows, "values": [v for _, v in rows],
                    "zeta": "after"}
         args = SimpleNamespace(_argv=["x", "\0", "--in", "rows"], format="json")
-        cli._emit(args, {**payload, "rows": iter(rows)}, seed=3, elapsed_ms=1.25)
+
+        def columns():  # one-pass iterators, as `bounds envelope` hands over
+            return (i for i, _ in rows), (v for _, v in rows)
+
+        cli._emit(args, {**payload, "rows": columns()}, seed=3, elapsed_ms=1.25)
         envelope = {"version": __version__, "command": args._argv, "seed": 3,
                     "payload": payload, "elapsed_ms": 1.25}
         assert capsys.readouterr().out == json.dumps(envelope, sort_keys=True) + "\n"
         args.format = "csv"
-        cli._emit(args, {**payload, "rows": iter(rows)})
+        cli._emit(args, {**payload, "rows": columns()})
         assert capsys.readouterr().out == self._one_shot_csv(payload["columns"], rows)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
@@ -87,12 +91,12 @@ class TestStreamedRows:
         rows = list(zip(a, b))
         payload = {"columns": ["n", "value"], "values": b}
         args = SimpleNamespace(_argv=["x"], format="json")
-        cli._emit(args, {**payload, "rows": cli._Columns(a, b)})
+        cli._emit(args, {**payload, "rows": (a, b)})
         envelope = {"version": __version__, "command": ["x"], "seed": None,
                     "payload": {**payload, "rows": rows}, "elapsed_ms": 0.0}
         assert capsys.readouterr().out == json.dumps(envelope, sort_keys=True) + "\n"
         args.format = "csv"
-        cli._emit(args, {**payload, "rows": cli._Columns(a, b)})
+        cli._emit(args, {**payload, "rows": (a, b)})
         assert capsys.readouterr().out == self._one_shot_csv(payload["columns"], rows)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
@@ -122,6 +126,20 @@ class TestStreamedRows:
         assert code == 0 and out == json.dumps(doc, sort_keys=True) + "\n"
         code, out = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0 and out == self._one_shot_csv(["n", "value"], rows)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_envelope_matches_one_shot(self, capsys, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_ROWS_CHUNK", chunk)
+        argv = ["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "16",
+                "--to", "1e15", "--points", "50"]
+        code, out = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        ratio = (1e15 / 16) ** (1 / 49)
+        rows = [(x, bounds.gap_envelope(x, 0.1, 1.0)) for x in (16 * ratio**p for p in range(50))]
+        doc["payload"]["rows"] = rows
+        assert code == 0 and out == json.dumps(doc, sort_keys=True) + "\n"
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0 and out == self._one_shot_csv(["x", "value"], rows)
 
 
 class TestGp:
@@ -528,7 +546,7 @@ class TestCleanExits:
         assert code == "0"
         assert ("numpy" in loaded) == loads_numpy
         assert "dataclasses" not in loaded
-        assert ("csv" in loaded) == ("csv" in argv), "csv loads only for --format csv"
+        assert "csv" not in loaded, "no command loads csv"
         if argv[0] == "bounds":
             assert not loaded & {"gpfree.gpcore", "gpfree.syndetic", "gpfree.divisor",
                                  "gpfree.process", "fractions"}

@@ -22,10 +22,6 @@ class TestKGeoProgression:
         gp = gpcore.KGeoProgression(6, 1, 2, 3)
         assert gp.terms() == [32, 48, 72, 108, 162, 243]
 
-    def test_term_at_matches_terms(self):
-        gp = gpcore.KGeoProgression(6, 2, 3, 5)
-        assert [gp.term_at(i) for i in range(6)] == gp.terms()
-
     def test_rejects_trivial_ratio(self):
         with pytest.raises(DomainError):
             gpcore.KGeoProgression(3, 1, 1, 1)
@@ -98,7 +94,7 @@ class TestEnumerate:
     def test_middle_bound_includes_expected(self):
         got = {(g.a, g.b, g.c) for g in gpcore.enumerate_gps(6, 2, 72)}
         assert (1, 2, 3) in got and (18, 1, 2) in got
-        assert all(gpcore.KGeoProgression(6, *t).term_at(2) <= 72 for t in got)
+        assert all(gpcore.KGeoProgression(6, *t).terms()[2] <= 72 for t in got)
 
     def test_bound_zero_empty(self):
         assert list(gpcore.enumerate_gps(6, 0, 0)) == []
@@ -129,7 +125,7 @@ class TestFindAtPosition:
             for pos in range(1, k):
                 by_term = defaultdict(list)
                 for g in gpcore.enumerate_gps(k, pos, bound):
-                    by_term[g.term_at(pos)].append(g)
+                    by_term[g.terms()[pos]].append(g)
                 for n in range(1, bound + 1):
                     assert gpcore.find_gps_with_term_at(n, k, pos) == by_term[n], (k, pos, n)
 

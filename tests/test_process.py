@@ -58,7 +58,7 @@ class TestRuns:
         # GP [1,2,4,8,16,32] has middles 4 and 8; exactly one goes.
         for seed in range(20):
             run = process.run(cfg(K6, 16, seed))
-            removed = run.removed_set()
+            removed = frozenset(run.removed)
             assert len({4, 8} & removed) >= 1
             # the account of this specific GP: coin decides 4 xor 8
             gp = gpcore.KGeoProgression(6, 1, 1, 2)
@@ -100,16 +100,16 @@ class TestRuns:
         monkeypatch.setattr(process, "_coin_array", lambda *a: 0.0)
         run = process.run(cfg(K5, 200, 1))
         gp = gpcore.KGeoProgression(5, 1, 1, 2)  # [1,2,4,8,16]
-        assert gp.term_at(2) in run.removed_set()
+        assert gp.terms()[2] in frozenset(run.removed)
         for g in gpcore.enumerate_gps(5, 1, 200):
-            t3 = g.term_at(2)
+            t3 = g.terms()[2]
             if t3 <= 200:
-                assert t3 in run.removed_set()
+                assert t3 in frozenset(run.removed)
 
     def test_3gp_int_removes_second_or_third(self):
         run = process.run(cfg(K3, 64, 2))
         # (a=1, r=2): one of 2, 4 goes
-        assert {2, 4} & run.removed_set()
+        assert {2, 4} & frozenset(run.removed)
 
     def test_3gp_int_survivors_keep_rational_triples(self):
         # (4,6,9) has ratio 3/2, outside the integer-ratio family, so some
@@ -202,13 +202,13 @@ class TestHittingProperty:
     def test_every_contained_gp_is_hit(self, kind, k):
         n, seed = 2000, 4
         run = process.run(cfg(kind, n, seed))
-        removed = run.removed_set()
+        removed = frozenset(run.removed)
         for gp in gpcore.enumerate_gps(k, k - 1, n):
             assert removed & set(gp.terms()), f"unhit {gp}"
 
     def test_integer_ratio_hit(self):
         n, seed = 2000, 4
-        removed = process.run(cfg(K3, n, seed)).removed_set()
+        removed = frozenset(process.run(cfg(K3, n, seed)).removed)
         for a in range(1, n + 1):
             for r in range(2, n + 1):
                 if a * r * r > n:
@@ -321,7 +321,7 @@ class TestSurvival:
     def test_events_remove_what_run_removes(self, kind, seed, x, h):
         # element by element: n fires one of its events exactly when the full
         # run removes it; above x = 65536 some 5-GPs have terms beyond 2**64
-        removed = process.run(cfg(kind, x + h, seed)).removed_set()
+        removed = frozenset(process.run(cfg(kind, x + h, seed)).removed)
         for n in range(x + 1, x + h + 1):
             fired = any(((process.coin_bits(seed, *key) >> 11) * 2.0**-53 < thr) == below
                         for key, thr, below in process._removal_events(kind, n))
@@ -334,7 +334,7 @@ class TestSurvival:
         for pos in positions:
             for gp in gpcore.enumerate_gps(k, pos, 1499):
                 if kind is not K3 or gp.b == 1:
-                    want[gp.term_at(pos)].append((k, gp.a, gp.b, gp.c))
+                    want[gp.terms()[pos]].append((k, gp.a, gp.b, gp.c))
         for n in range(16, 1500):
             got = sorted(key for key, _, _ in process._removal_events(kind, n))
             assert got == sorted(want[n]), n

@@ -111,8 +111,6 @@ def test_validation_errors(make, message):
 
 
 @pytest.mark.parametrize("make, message", [
-    pytest.param(lambda: gpcore.KGeoProgression(3, 1, 1, 2).term_at(3),
-                 "position 3 out of range for k=3", id="term_at"),
     pytest.param(lambda: gpcore.canonicalize([0, 1, 2]),
                  "terms must be positive integers", id="canonicalize"),
     pytest.param(lambda: gpcore.find_gps_with_term_at(0, 3, 1),
