@@ -171,7 +171,7 @@ def cmd_gp_contains(args):
     from . import gpcore
     text = _read_text(args.input)
     try:
-        members = list({int(tok) for tok in text.split()})
+        members = [int(tok) for tok in text.split()]
     except ValueError as exc:
         raise GPFreeError(f"bad member in {args.input}: {exc}") from None
     mode = gpcore.INTEGER if args.mode == "int" else gpcore.RATIONAL

@@ -1,12 +1,12 @@
 """Canonical geometric progressions over the positive integers.
 
 A nontrivial k-term GP with rational ratio c/b > 1 (gcd(b,c)=1) is stored as
-(k, a, b, c) with term i equal to a*b**(k-1-i)*c**i.  The lowest-terms
-convention makes the representation unique, so enumeration never
-double-counts.  This module walks these classes in two ways: `_classes`
-forward by the weight b**eb * c**ec of one position, `_cofactors` backward
-over the divisors of a given term.  `process run` has its own numpy forward
-walk (`process._class_blocks`).  3-GPs are plain (x, y, z) int tuples.
+(k, a, b, c) with term i equal to a*b**(k-1-i)*c**i; lowest terms make the
+form unique, so enumeration never double-counts.  `_classes` walks the (b, c)
+classes forward by the weight b**eb * c**ec of one position, `_cofactors`
+backward over the divisors of a term (`process run` has its own numpy walk).
+The freeness search ANDs one strided slice of a 0/1 byte mask per term, for
+every a of a class at once.  3-GPs are plain (x, y, z) int tuples.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import count
 from math import gcd
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, ResourceLimit
 from .limits import DEFAULT_LIMITS, Limits
@@ -80,8 +80,7 @@ def canonicalize(sequence: Sequence[int]) -> KGeoProgression:
 def _classes(eb: int, ec: int, bound: int, integer: bool = False) -> Iterator[tuple[int, int, int]]:
     """(b, c, w) for coprime 1 <= b < c with weight w = b**eb * c**ec <= bound.
 
-    The forward walk: ordered by (c, b), with b = 1 only when `integer`.
-    With ec = 0 the weight does not grow with c, so the stream never ends.
+    Ordered by (c, b), b = 1 only when `integer`; with ec = 0 the stream never ends.
     """
     if ec >= bound.bit_length():  # 2**ec > bound: no class, and no huge c**ec to build
         return
@@ -128,13 +127,10 @@ def _cofactors(divs: list[int], eb: int, ec: int, integer: bool = False) -> Iter
 
 
 def enumerate_gps(k: int, position: int, max_term_at_position: int) -> Iterator[KGeoProgression]:
-    """Canonical k-GPs whose term at `position` is <= the bound.
+    """Canonical k-GPs whose term at `position` is <= the bound, in term-lex order.
 
-    For position >= 1 the family is finite and is emitted in lexicographic
-    order of the term tuples.  For position 0 the family is infinite (the
-    first term a*b**(k-1) does not involve c), so a lexicographic stream
-    would never leave first-term 1; we fall back to a fair enumeration
-    ordered by (c, b, a) in which every member appears at a finite index.
+    For position 0 the family is infinite (a*b**(k-1) does not involve c), so a
+    term-lex stream would never leave first term 1: it comes in (c, b, a) order.
     """
     _check_k(k, position)
     bound = max_term_at_position
@@ -147,11 +143,7 @@ def enumerate_gps(k: int, position: int, max_term_at_position: int) -> Iterator[
 
 
 def find_gps_with_term_at(n: int, k: int, position: int) -> list[KGeoProgression]:
-    """All canonical k-GPs whose term at `position` equals n, term-lex sorted.
-
-    position 0 is rejected: a*b**(k-1) = n leaves c unconstrained, so the
-    family is infinite.
-    """
+    """All canonical k-GPs whose term at `position` (>= 1) equals n, term-lex sorted."""
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     _check_k(k, position)
@@ -167,10 +159,8 @@ def contains_gp(
 ) -> Optional[KGeoProgression]:
     """First (in (c, b, a) order) nontrivial k-GP fully contained in the set.
 
-    `members` must be deduplicated positive integers (order irrelevant).  In
-    integer mode only ratio denominators b == 1 qualify.  Exact: every
-    candidate with largest term <= max(members) is tested against the set,
-    so a member above `limits.process_max_n` raises ResourceLimit first.
+    Repeats are harmless and integers < 1 are not members; integer mode asks b == 1.  A member
+    above `limits.process_max_n` raises ResourceLimit before the 0/1 member mask is built.
     """
     top = max(members, default=0)
     if top > limits.process_max_n:
@@ -178,20 +168,30 @@ def contains_gp(
     _check_k(k)
     if mode not in (RATIONAL, INTEGER):
         raise DomainError(f"unknown mode {mode!r}")
-    if len(members) < k:
+    mask = bytearray(max(top, 0) + 1)
+    for t in members:
+        if t > 0:  # a negative t would wrap around to mark a term
+            mask[t] = 1
+    return _first_gp(mask, k, mode)
+
+
+def _first_gp(mask: bytearray, k: int, mode: str) -> Optional[KGeoProgression]:
+    """First k-GP, in (c, b, a) order, of the t >= 1 with mask[t] == 1 (a 0/1 mask).
+
+    Term i is a*w_i: mask[w_i : A*w_i + 1 : w_i] lists it for a = 1..A = top // c**(k-1).
+    The k slices of a class are ANDed as ints, stopping at the first zero.
+    """
+    top = len(mask) - 1
+    if mask.count(1) < k:  # fewer members than terms
         return None
-    return _first_gp(set(members).__contains__, top, k, mode)
-
-
-def _first_gp(member: Callable[[int], object], top: int, k: int, mode: str) -> Optional[KGeoProgression]:
-    """contains_gp's search: `member(t)` is true exactly for the members t <= top."""
     for b, c, wc in _classes(0, k - 1, top, mode == INTEGER):
-        wb = b ** (k - 1)
-        for a in range(1, top // wc + 1):
-            if member(a * wb) and member(a * wc):
-                gp = KGeoProgression(k, a, b, c)
-                if all(member(t) for t in gp.terms()):
-                    return gp
+        hits = -1
+        for w in (b ** (k - 1 - i) * c**i for i in range(k)):
+            hits &= int.from_bytes(mask[w : w * (top // wc) + 1 : w], "little")
+            if not hits:
+                break
+        else:  # byte a - 1 is nonzero iff every term of a is a member: take the lowest
+            return KGeoProgression(k, ((hits & -hits).bit_length() - 1) // 8 + 1, b, c)
     return None
 
 

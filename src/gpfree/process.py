@@ -11,9 +11,9 @@ sequential stream: the result is independent of enumeration order, chunking,
 and worker count, and enlarging N never changes the coin of an
 already-enumerated progression.
 
-Only `run`'s vector kernel and the bitmap helpers import numpy, inside the
-function.  Run files, `verify_free`, `gap_report` and `survival_probability`
-use the standard library alone, on a bytearray survivor mask.
+Only `run`'s vector kernel and `run_to_bitmap` import numpy, when called.
+Run files, `verify_free`, `gap_report` and `survival_probability` use the
+standard library alone, on a bytearray survivor mask.
 """
 
 from __future__ import annotations
@@ -66,11 +66,6 @@ def coin_bits(seed: int, k: int, a: int, b: int, c: int) -> int:
     return h
 
 
-def coin(seed: int, gp: KGeoProgression) -> float:
-    """Deterministic uniform value in [0, 1) attached to (seed, gp)."""
-    return (coin_bits(seed, gp.k, gp.a, gp.b, gp.c) >> 11) * _INV53
-
-
 def derive_seed(seed: int, index: int) -> int:
     """Per-trial sub-seed; stable under extending the trial count."""
     return _mix64(_mix64(seed & _M64) ^ ((index * _GOLDEN) & _M64))
@@ -120,7 +115,7 @@ _NEAR = 1e-9      # coins this close to a log threshold are re-decided by p_defa
 
 
 def _coin_array(seed: int, k: int, a, b, c):
-    """Vector coin(): (coin_bits(seed, k, a, b, c) >> 11) * 2**-53, elementwise."""
+    """The coins (coin_bits(seed, k, a, b, c) >> 11) * 2**-53, elementwise."""
     import numpy as np
     s33, golden, fm1, fm2 = (np.uint64(v) for v in (
         33, _GOLDEN, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53))
@@ -225,9 +220,7 @@ def run(config: ProcessConfig, workers: int = 1, limits: Limits = DEFAULT_LIMITS
 def verify_free(run_: ProcessRun) -> Optional[KGeoProgression]:
     """Witness GP of the kind's target family among the survivors, if any."""
     k, mode = _FAMILY[run_.config.kind][:2]
-    if run_.config.n - len(run_.removed) < k:
-        return None
-    return _first_gp(_alive(run_).__getitem__, run_.config.n, k, mode)
+    return _first_gp(_alive(run_), k, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +406,3 @@ def run_to_bitmap(run_: ProcessRun) -> bytes:
     bits = np.zeros(64 * ((run_.config.n + 63) // 64), dtype=bool)
     bits[np.array(run_.removed, dtype=np.int64) - 1] = True
     return np.packbits(bits, bitorder="little").tobytes()
-
-
-def bitmap_to_removed(blob: bytes, n: int) -> tuple[int, ...]:
-    """Inverse of run_to_bitmap (for a known horizon n)."""
-    import numpy as np
-    words = np.frombuffer(blob[: len(blob) // 8 * 8], dtype=np.uint8)
-    bits = np.unpackbits(words, bitorder="little")[:n]
-    return tuple((np.flatnonzero(bits) + 1).tolist())

@@ -60,6 +60,28 @@ def brute_3gp_triples(n: int) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
+def brute_first_gp(members, k: int, integer: bool) -> tuple[int, int, int, int] | None:
+    """First (k, a, b, c), in (c, b, a) order, whose k terms a*b^(k-1-i)*c^i all lie in `members`.
+
+    Plain loops over coprime 1 <= b < c (b = 1 when `integer`) and a >= 1, up to
+    the largest member, each term tested against the set of members.
+    """
+    chosen = set(members)
+    top = max(chosen, default=0)
+    c = 2
+    while c ** (k - 1) <= top:
+        for b in range(1, 2 if integer else c):
+            if math.gcd(b, c) != 1:
+                continue
+            a = 1
+            while a * c ** (k - 1) <= top:
+                if all(a * b ** (k - 1 - i) * c**i in chosen for i in range(k)):
+                    return (k, a, b, c)
+                a += 1
+        c += 1
+    return None
+
+
 def brute_selection_violation(n: int, pairing: str, selection) -> tuple | None:
     """First way `selection` fails to be a 3-GP-free pair selection, or None.
 

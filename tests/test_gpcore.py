@@ -3,14 +3,14 @@ import time
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpfree import gpcore
 from gpfree.errors import DomainError, ResourceLimit
 from gpfree.limits import DEFAULT_LIMITS
 
-from oracles import brute_3gp_triples, brute_canonical_gp
+from oracles import brute_3gp_triples, brute_canonical_gp, brute_first_gp
 
 
 class TestKGeoProgression:
@@ -153,6 +153,32 @@ class TestContains:
                 if all(v in sm for v in t)]
         w = gpcore.contains_gp(members, 3, gpcore.RATIONAL)
         assert (w is None) == (hits == [])
+
+    @given(members=st.lists(st.integers(-30, 600), max_size=40), k=st.integers(3, 7),
+           integer=st.booleans(),
+           planted=st.none() | st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(2, 5),
+                                         st.integers(0, 7), st.integers(0, 3)))
+    @example(members=[1, 2, 8, -5], k=4, integer=False, planted=None)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_loop_oracle(self, members, k, integer, planted):
+        # members with repeats, 0 and negatives, and maybe the terms of one progression
+        # but the one at `drop` (none when drop >= k) and, when `more` > 0, all terms
+        # of the same class at a + more; a negative member must not wrap around to
+        # mark a term, as it would in a naive mask ([1, 2, 8, -5] at k=4)
+        if planted:
+            a, b, c, drop, more = planted
+            b = 1 if integer else min(b, c - 1)
+            members = members + [a * b ** (k - 1 - i) * c**i for i in range(k) if i != drop]
+            members += [(a + more) * b ** (k - 1 - i) * c**i for i in range(k) if more]
+        mode = gpcore.INTEGER if integer else gpcore.RATIONAL
+        assert gpcore.contains_gp(members, k, mode) == brute_first_gp(members, k, integer)
+
+    def test_first_a_of_a_class(self):
+        assert gpcore.contains_gp([12, 6, 3, 4, 2, 1], 3).terms() == [1, 2, 4]
+
+    def test_negative_member_is_no_term(self):
+        assert gpcore.contains_gp([1, 2, 8, -5], 4) is None
+        assert gpcore.contains_gp([1, 2, 8, -5, 4], 4).terms() == [1, 2, 4, 8]
 
     @pytest.mark.parametrize("k", [3, 2])
     def test_member_above_budget_refused_first(self, k):

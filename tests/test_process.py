@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gpfree import bounds, gpcore, process
 from gpfree.errors import DomainError, ResourceLimit
 from gpfree.limits import DEFAULT_LIMITS
-from oracles import brute_removal
+from oracles import brute_first_gp, brute_removal
 
 K6 = process.ProcessKind.SIX_GP
 K5 = process.ProcessKind.FIVE_GP
@@ -23,29 +23,39 @@ def cfg(kind, n, seed):
     return process.ProcessConfig(kind, n, seed)
 
 
+def coin(seed, gp):
+    """The uniform value in [0, 1) that `process` takes from the top 53 bits of coin_bits."""
+    return (process.coin_bits(seed, *gp) >> 11) * 2**-53
+
+
+def bitmap_removed(blob, n):
+    """The t in [1, n] whose bit t - 1 is set in the little-endian bitmap."""
+    return tuple(t for t in range(1, n + 1) if blob[(t - 1) >> 3] >> ((t - 1) & 7) & 1)
+
+
 class TestCoin:
     def test_deterministic(self):
         gp = gpcore.KGeoProgression(6, 3, 2, 5)
-        assert process.coin(42, gp) == process.coin(42, gp)
+        assert coin(42, gp) == coin(42, gp)
 
     def test_uniform_half_split(self):
         # Over all 6-GPs with second middle term <= 1e5 the below-1/2
         # fraction must sit within 3 sigma of a fair binomial.
         gps = list(gpcore.enumerate_gps(6, 2, 10**5))
         n = len(gps)
-        below = sum(1 for gp in gps if process.coin(12345, gp) < 0.5)
+        below = sum(1 for gp in gps if coin(12345, gp) < 0.5)
         sigma = 0.5 * math.sqrt(n)
         assert abs(below - n / 2) <= 3 * sigma
 
     def test_seed_changes_some_coin(self):
         gps = list(itertools.islice(gpcore.enumerate_gps(6, 2, 10**4), 1000))
-        a = [process.coin(1, gp) for gp in gps]
-        b = [process.coin(2, gp) for gp in gps]
+        a = [coin(1, gp) for gp in gps]
+        b = [coin(2, gp) for gp in gps]
         assert a != b
 
     def test_range(self):
         for i, gp in enumerate(gpcore.enumerate_gps(6, 2, 500)):
-            v = process.coin(i, gp)
+            v = coin(i, gp)
             assert 0.0 <= v < 1.0
 
     def test_derive_seed_distinct(self):
@@ -62,7 +72,7 @@ class TestRuns:
             assert len({4, 8} & removed) >= 1
             # the account of this specific GP: coin decides 4 xor 8
             gp = gpcore.KGeoProgression(6, 1, 1, 2)
-            picked = 4 if process.coin(seed, gp) < 0.5 else 8
+            picked = 4 if coin(seed, gp) < 0.5 else 8
             assert picked in removed
 
     def test_survivors_partition(self):
@@ -195,6 +205,21 @@ class TestVerifyFree:
     def test_empty_survivors(self):
         run = process.ProcessRun(cfg(K6, 16, 1), tuple(range(1, 17)), 0)
         assert process.verify_free(run) is None
+
+    @pytest.mark.parametrize("kind, gp", [
+        (K6, gpcore.KGeoProgression(6, 1, 2, 3)),
+        (K5, gpcore.KGeoProgression(5, 3, 2, 3)),
+        (K3, gpcore.KGeoProgression(3, 5, 1, 7)),
+    ], ids=["6gp", "5gp", "3gp-int"])
+    def test_planted_gp_matches_oracle(self, kind, gp):
+        # put the terms of one progression back among the survivors: the witness is
+        # the first progression in (c, b, a) order that the plain-loop oracle finds
+        run = process.run(cfg(kind, 3000, 1))
+        removed = tuple(t for t in run.removed if t not in gp.terms())
+        assert len(removed) < len(run.removed)
+        bad = process.ProcessRun(run.config, removed, run.dropped_outside)
+        w = process.verify_free(bad)
+        assert w is not None and w == brute_first_gp(bad.survivors(), gp.k, kind is K3)
 
 
 class TestHittingProperty:
@@ -377,7 +402,7 @@ class TestSerialization:
         run = process.run(cfg(K6, 777, 3))
         blob = process.run_to_bitmap(run)
         assert len(blob) == 8 * ((777 + 63) // 64)
-        assert process.bitmap_to_removed(blob, 777) == run.removed
+        assert bitmap_removed(blob, 777) == run.removed
 
     @pytest.mark.parametrize("edit", [
         {"removed": [7, 7]},                 # duplicate
@@ -450,4 +475,4 @@ class TestSerialization:
     def test_roundtrip_property(self, seed, n):
         run = process.run(cfg(K3, n, seed))
         assert process.run_from_json(process.run_to_json(run)) == run
-        assert process.bitmap_to_removed(process.run_to_bitmap(run), n) == run.removed
+        assert bitmap_removed(process.run_to_bitmap(run), n) == run.removed
