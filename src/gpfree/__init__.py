@@ -9,8 +9,8 @@ Modules:
   cli       command-line front end
 
 Import a module to use it (`from gpfree import process`).  Only process.run's
-vector kernel (with process's bitmap helpers) and divisor.mertens_sum load
-numpy, inside the function, so of the cli commands only `process run` and
+vector kernel, process.run_to_bitmap and divisor.mertens_sum load numpy,
+inside the function, so of the cli commands only `process run` and
 `divisor mertens` do.  `import gpfree` loads errors and limits alone, and the
 records of every module are namedtuples, which cost no import beyond
 collections.  A cli command loads only its group's module and that module's

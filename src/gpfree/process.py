@@ -114,14 +114,17 @@ _CHUNK = 1 << 16  # classes or progressions per array pass; bounds memory
 _NEAR = 1e-9      # coins this close to a log threshold are re-decided by p_default
 
 
-def _coin_array(seed: int, k: int, a, b, c):
-    """The coins (coin_bits(seed, k, a, b, c) >> 11) * 2**-53, elementwise."""
+def _coin_array(seed: int, k: int, a, b: int, c):
+    """The coins (coin_bits(seed, k, a, b, c) >> 11) * 2**-53 of one int b and
+    the equally long int64 arrays a and c, elementwise."""
     import numpy as np
     s33, golden, fm1, fm2 = (np.uint64(v) for v in (
         33, _GOLDEN, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53))
     h = np.uint64(_mix64((seed & _M64) ^ ((k * _GOLDEN) & _M64)))
-    for v in (a, b, c):
-        h = h ^ v.astype(np.uint64) * golden
+    # b's round is hashed as a Python int: a numpy uint64 scalar product warns on overflow
+    for v in (a.astype(np.uint64) * golden, np.uint64((b * _GOLDEN) & _M64),
+              c.astype(np.uint64) * golden):
+        h = h ^ v
         for m in (fm1, fm2):  # _mix64, in place
             h ^= h >> s33
             h *= m
@@ -140,42 +143,31 @@ _FAMILY = {
 }
 
 
-def _class_blocks(kind: ProcessKind, n: int):
-    """(b, c) arrays of every class whose smaller term is <= n at a = 1.
+def _progressions(kind: ProcessKind, n: int):
+    """(a, b, c) chunks of every progression (k, a, b, c) of the kind's family
+    whose smaller removable term a*b^sb*c^sc is <= n.
 
-    Classes are coprime b < c (b = 1, c = r for the integer-ratio family),
-    yielded in blocks of at most _CHUNK.
+    Classes are coprime b < c (b = 1, c = r for the integer-ratio family), in
+    blocks of at most _CHUNK c values.  A chunk holds 1 to _CHUNK progressions
+    of one block: `b` is the block's Python int, `a` and `c` int64 arrays.
     """
     import numpy as np
-    sb, sc = _FAMILY[kind][2]
-    b = 1
-    while b**sb * (b + 1) ** sc <= n:
+    _, mode, (sb, sc) = _FAMILY[kind][:3]
+    for b in range(1, 2 if mode is INTEGER else n):  # the integer-ratio family has b = 1 only
+        if b**sb * (b + 1) ** sc > n:
+            break
         top = isqrt(n // b**sb) if sc == 2 else n // b**sb
         for lo in range(b + 1, top + 1, _CHUNK):
             c = np.arange(lo, min(lo + _CHUNK, top + 1), dtype=np.int64)
             c = c[np.gcd(c, b) == 1]
-            if c.size:
-                yield np.full(c.size, b, dtype=np.int64), c
-        if kind is ProcessKind.THREE_GP_INT:
-            break
-        b += 1
-
-
-def _progressions(counts):
-    """(a, i) arrays of the progressions a = 1 .. counts[i] of every class i,
-    at most _CHUNK at a time."""
-    import numpy as np
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
-    for first in range(0, total, _CHUNK):
-        last = min(first + _CHUNK, total)
-        i0 = int(np.searchsorted(ends, first, side="right"))
-        i1 = int(np.searchsorted(ends, last - 1, side="right")) + 1
-        starts = ends[i0:i1] - counts[i0:i1]
-        cls = np.repeat(np.arange(i0, i1),
-                        np.minimum(ends[i0:i1], last) - np.maximum(starts, first))
-        a = np.arange(first, last, dtype=np.int64) - (starts - 1)[cls - i0]
-        yield a, cls
+            # class i holds a = 1 .. edge[i+1] - edge[i], progressions edge[i] .. edge[i+1] - 1
+            edge = np.concatenate(([0], np.cumsum(n // (b**sb * c**sc))))
+            for first in range(0, int(edge[-1]), _CHUNK):
+                last = min(first + _CHUNK, int(edge[-1]))
+                i0, i1 = np.searchsorted(edge, (first, last - 1), side="right") - (1, 0)
+                reps = np.diff(np.clip(edge[i0:i1 + 1], first, last))
+                a = np.arange(first + 1, last + 1, dtype=np.int64) - np.repeat(edge[i0:i1], reps)
+                yield a, b, np.repeat(c[i0:i1], reps)
 
 
 def _below_p(u, larger):
@@ -204,16 +196,14 @@ def run(config: ProcessConfig, workers: int = 1, limits: Limits = DEFAULT_LIMITS
     k, _, (sb, sc), (lb, lc), biased = _FAMILY[config.kind]
     hit = np.zeros(n + 1, dtype=bool)
     dropped = 0
-    for b, c in _class_blocks(config.kind, n):
-        w_smaller, w_larger = b**sb * c**sc, b**lb * c**lc
-        for a, i in _progressions(n // w_smaller):
-            smaller, larger = a * w_smaller[i], a * w_larger[i]
-            u = _coin_array(seed, k, a, b[i], c[i])
-            below = _below_p(u, larger) if biased else u < 0.5
-            removed = np.where(below == biased, larger, smaller)
-            inside = removed <= n
-            hit[removed[inside]] = True
-            dropped += removed.size - int(np.count_nonzero(inside))
+    for a, b, c in _progressions(config.kind, n):
+        smaller, larger = a * b**sb * c**sc, a * b**lb * c**lc
+        u = _coin_array(seed, k, a, b, c)
+        below = _below_p(u, larger) if biased else u < 0.5
+        removed = np.where(below == biased, larger, smaller)
+        inside = removed <= n
+        hit[removed[inside]] = True
+        dropped += removed.size - int(np.count_nonzero(inside))
     return ProcessRun(config, tuple(np.flatnonzero(hit).tolist()), dropped)
 
 

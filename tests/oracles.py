@@ -25,14 +25,8 @@ def divisors_of(n: int) -> list[int]:
 
 
 def brute_d_k(n: int, k: int) -> int:
-    """#{a >= 1 : a^k | n}: scan candidate bases up to n^(1/k)."""
-    count = 0
-    a = 1
-    while a**k <= n:
-        if n % (a**k) == 0:
-            count += 1
-        a += 1
-    return count
+    """#{a >= 1 : a^k | n}: every such a divides n, so scan the divisors of n."""
+    return sum(1 for a in divisors_of(n) if n % a**k == 0)
 
 
 def brute_d_ij(n: int, i: int, j: int) -> int:
@@ -153,6 +147,30 @@ def brute_coin(seed: int, k: int, a: int, b: int, c: int) -> float:
     for v in (k, a, b, c):
         h = _fmix64(h ^ (v * _GOLDEN & _M64))
     return (h >> 11) / 2**53
+
+
+def brute_progressions(kind: str, n: int) -> list[tuple[int, int, int]]:
+    """Every (a, b, c) of a removal process whose smaller removable term is <= n.
+
+    Plain loops over c >= 2, coprime 1 <= b < c (b = 1 for "3gp-int") and
+    a >= 1.  The smaller removable term of a*b^(k-1-i)*c^i is a*b^3*c^2 for
+    "6gp" (i = 2), a*b^3*c for "5gp" and a*c for "3gp-int" (i = 1).
+    """
+    eb, ec = {"6gp": (3, 2), "5gp": (3, 1), "3gp-int": (1, 1)}[kind]
+    out = []
+    c = 2
+    while c**ec <= n:
+        for b in range(1, 2 if kind == "3gp-int" else c):
+            if b**eb * c**ec > n:
+                break
+            if math.gcd(b, c) != 1:
+                continue
+            a = 1
+            while a * b**eb * c**ec <= n:
+                out.append((a, b, c))
+                a += 1
+        c += 1
+    return out
 
 
 def brute_removal(kind: str, n: int, seed: int, coin=None) -> tuple[tuple[int, ...], int]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gpfree import bounds, gpcore, process
 from gpfree.errors import DomainError, ResourceLimit
 from gpfree.limits import DEFAULT_LIMITS
-from oracles import brute_first_gp, brute_removal
+from oracles import brute_first_gp, brute_progressions, brute_removal
 
 K6 = process.ProcessKind.SIX_GP
 K5 = process.ProcessKind.FIVE_GP
@@ -158,7 +158,7 @@ class TestScalarReference:
             return math.nextafter(t, 0.0) if below else t
 
         def coins(seed, k, a, b, c):
-            return np.array([thr(k, *v) for v in zip(a.tolist(), b.tolist(), c.tolist())])
+            return np.array([thr(k, ai, b, ci) for ai, ci in zip(a.tolist(), c.tolist())])
 
         monkeypatch.setattr(process, "_coin_array", coins)
         n = 3000
@@ -183,6 +183,26 @@ class TestScalarReference:
         after = [(process.run_to_json(r), process.run_to_bitmap(r))
                  for r in map(process.run, configs)]
         assert after == before
+
+
+class TestProgressions:
+    """process._progressions against brute_progressions, which shares no code with it."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 2**16])
+    @pytest.mark.parametrize("n", [16, 17, 100, 1000])
+    @pytest.mark.parametrize("kind", [K6, K5, K3])
+    def test_matches_plain_loops(self, kind, n, chunk, monkeypatch):
+        # chunk 1 makes each c its own block, so the gcd filter leaves some
+        # blocks empty (at n = 1000, c = 4 at b = 2 for 6gp and 5gp)
+        monkeypatch.setattr(process, "_CHUNK", chunk)
+        got = []
+        for a, b, c in process._progressions(kind, n):
+            assert type(b) is int
+            assert a.dtype == c.dtype == np.int64
+            assert 1 <= a.size == c.size <= chunk
+            got += zip(a.tolist(), itertools.repeat(b), c.tolist())
+        assert len(set(got)) == len(got)
+        assert sorted(got) == sorted(brute_progressions(kind.value, n))
 
 
 class TestVerifyFree:
