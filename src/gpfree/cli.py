@@ -150,11 +150,7 @@ def cmd_gp_enumerate(args):
     if args.max_items < 1:
         raise UsageError(f"--max-items must be at least 1, got {args.max_items}")
     stream = gpcore.enumerate_gps(args.k, args.position, args.bound)
-    out = []
-    for gp in stream:
-        out.append(_gp_payload(gp))
-        if len(out) >= args.max_items:
-            break
+    out = [_gp_payload(gp) for gp in islice(stream, args.max_items)]
     return {"gps": out, "truncated": len(out) >= args.max_items}
 
 
@@ -185,14 +181,14 @@ def cmd_gp_contains(args):
 def cmd_divisor_table(args):
     from . import divisor
     spec = divisor.DivisorSpec(args.k, args.i, args.j)  # the record refuses k with i or j
-    table = divisor.sieve(divisor.Interval(args.start, args.len), spec, args.limits)
+    values = divisor.sieve(divisor.Interval(args.start, args.len), spec, args.limits)
     n = range(args.start + 1, args.start + args.len + 1)
     return {
         "interval": {"x": args.start, "h": args.len},
-        "spec": table.spec.label(),
+        "spec": spec.label(),
         "columns": ["n", "value"],
-        "rows": (n, table.values),  # columns, streamed by _emit
-        "values": table.values,
+        "rows": (n, values),  # columns, streamed by _emit
+        "values": values,
     }
 
 
@@ -247,12 +243,12 @@ def cmd_process_gaps(args):
     from . import process
     rep = process.gap_report(_load_run(args), args.epsilon)
     return {
-        "epsilon": rep.epsilon,
+        "epsilon": args.epsilon,
         "max_gap": rep.max_gap,
         "fitted_c_eps": rep.fitted_c_eps,
         "gap_count": len(rep.lengths),
         "columns": ["t", "gap"],
-        "rows": (rep.survivors[:-1], rep.lengths),  # columns, streamed by _emit
+        "rows": (rep.starts, rep.lengths),  # columns, streamed by _emit
     }
 
 
@@ -265,13 +261,11 @@ def cmd_process_verify(args):
 
 def cmd_process_survival(args):
     from . import process
-    est = process.survival_probability(
+    empties = process.survival_probability(
         process.ProcessKind(args.kind), args.x, args.h, args.trials, args.seed, args.limits
     )
-    return {
-        "kind": est.kind.value, "x": est.x, "h": est.h,
-        "trials": est.trials, "empties": est.empties, "estimate": est.estimate,
-    }
+    return {"kind": args.kind, "x": args.x, "h": args.h, "trials": args.trials,
+            "empties": empties, "estimate": empties / args.trials}
 
 
 # ---------------------------------------------------------------------------

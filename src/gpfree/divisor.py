@@ -189,12 +189,6 @@ class Interval(namedtuple("Interval", "x h")):
         return super().__new__(cls, x, h)
 
 
-class DivisorTable(namedtuple("DivisorTable", "interval spec values")):
-    """values[t] == spec.of(x + 1 + t) over the window."""
-
-    __slots__ = ()
-
-
 _ESC = 255  # the code of every value the sieve meets once codes 0..254 are taken
 
 
@@ -270,8 +264,8 @@ def _sieve_codes(
     return codes, values + [None] * (256 - len(values)), escaped
 
 
-def sieve(interval: Interval, spec: DivisorSpec, limits: Limits = DEFAULT_LIMITS) -> DivisorTable:
-    """Segmented bulk evaluation over (x, x+h].
+def sieve(interval: Interval, spec: DivisorSpec, limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
+    """values[t] == spec.of(x + 1 + t) over (x, x+h], by one segmented sieve.
 
     Let s be the least exponent whose weight exceeds 1 (s = k for d_k,
     min(i, j) for d_{i,j}); only primes p with p**s | n matter.  The window
@@ -294,7 +288,7 @@ def sieve(interval: Interval, spec: DivisorSpec, limits: Limits = DEFAULT_LIMITS
         out = list(out)
         for t, v in escaped.items():
             out[t] = v
-    return DivisorTable(interval, spec, tuple(out))
+    return tuple(out)
 
 
 _SAMPLE = 256  # codes a histogram looks at to pick the next one to peel off

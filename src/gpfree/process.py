@@ -177,8 +177,7 @@ def _below_p(u, larger):
     below = u < thr
     near = np.flatnonzero(np.abs(u - thr) <= _NEAR)
     if near.size:
-        u_near = np.broadcast_to(u, larger.shape)[near].tolist()
-        below[near] = [ui < p_default(t) for ui, t in zip(u_near, larger[near].tolist())]
+        below[near] = [ui < p_default(t) for ui, t in zip(u[near].tolist(), larger[near].tolist())]
     return below
 
 
@@ -216,16 +215,16 @@ def verify_free(run_: ProcessRun) -> Optional[KGeoProgression]:
 # ---------------------------------------------------------------------------
 # gap analysis
 
-class GapReport(namedtuple("GapReport", "epsilon survivors lengths max_gap fitted_c_eps")):
-    """`survivors` holds the survivors t >= 16 ascending, as array("q"), and
-    lengths[i] = survivors[i + 1] - survivors[i]."""
+class GapReport(namedtuple("GapReport", "starts lengths max_gap fitted_c_eps")):
+    """`starts` holds the survivors t >= 16 ascending but the last, as
+    array("q"), and lengths[i] is the gap from starts[i] to the next survivor."""
 
     __slots__ = ()
 
     @property
     def gaps(self) -> tuple[tuple[int, int], ...]:
         """(t_i, t_{i+1} - t_i) for t_i >= 16."""
-        return tuple(zip(self.survivors, self.lengths))
+        return tuple(zip(self.starts, self.lengths))
 
 
 def gap_report(run_: ProcessRun, epsilon: float) -> GapReport:
@@ -242,23 +241,16 @@ def gap_report(run_: ProcessRun, epsilon: float) -> GapReport:
     if len(t) < 2:
         raise DomainError("need at least two survivors >= 16")
     g = list(map(sub, islice(t, 1, None), t))
+    del t[-1]
     # gap_envelope grows strictly in t >= 16, by far more than its rounding up to
     # process_max_n, so each gap value's ratio is largest where it first occurs
     first = {gi: t[g.index(gi)] for gi in set(g)}
     fitted = max(gi / gap_envelope(ti, epsilon, 1.0) for gi, ti in first.items())
-    return GapReport(epsilon, t, g, max(first), fitted)
+    return GapReport(t, g, max(first), fitted)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo survival-probability estimation
-
-class SurvivalEstimate(namedtuple("SurvivalEstimate", "kind x h trials empties")):
-    __slots__ = ()
-
-    @property
-    def estimate(self) -> float:
-        return self.empties / self.trials
-
 
 def _removal_events(kind: ProcessKind, n: int) -> list[tuple[tuple[int, int, int, int], float, bool]]:
     """Events that would remove n: (coin key, threshold, fires-when-below).
@@ -289,8 +281,8 @@ def survival_probability(
     trials: int,
     seed: int,
     limits: Limits = DEFAULT_LIMITS,
-) -> SurvivalEstimate:
-    """Fraction of independent trials in which (x, x+h] is wiped out.
+) -> int:
+    """How many of `trials` independent trials wipe out (x, x+h].
 
     Trial t runs the process with seed derive_seed(seed, t), restricted to
     the removal events of the window.  The events of n are built the first
@@ -326,7 +318,7 @@ def survival_probability(
                 for key, thr, below in events_of(n))
             for n in window
         )
-    return SurvivalEstimate(kind, x, h, trials, empties)
+    return empties
 
 
 # ---------------------------------------------------------------------------

@@ -158,8 +158,7 @@ def test_criterion_6_jensen_bound():
         i, j = rng.choice(PAIRS_IJ)
         D = rng.uniform(0.05, 1.5)
         interval = divisor.Interval(x, h)
-        table = divisor.sieve(interval, divisor.DivisorSpec.pair(i, j))
-        total = sum(table.values)
+        total = sum(divisor.sieve(interval, divisor.DivisorSpec.pair(i, j)))
         lhs = divisor.sum_S(interval, i, j, D)
         rhs = h * math.exp(-(D / h) * total)
         margin = lhs / rhs

@@ -458,13 +458,15 @@ class TestCleanExits:
         ["process", "verify", "--in", "{run}", "--config", "{tiny}"],
         ["gp", "contains", "--k", "3", "--input", "{huge_members}"],
         ["gp", "contains", "--k", "3", "--input", "{members}", "--config", "{tiny}"],
-    ], ids=["verify", "gaps", "verify-config", "contains", "contains-config"])
+        ["process", "survival", "--kind", "6gp", "--x", "9999999", "--h", "2", "--trials", "1",
+         "--seed", "1"],
+    ], ids=["verify", "gaps", "verify-config", "contains", "contains-config", "survival"])
     def test_input_above_budget_exit_3(self, capsys, tmp_path, monkeypatch, argv):
         paths = _fuzz_files(tmp_path)
 
         def must_not_run(*args, **kwargs):
             raise AssertionError("work started on an input above the budget")
-        for name in ("verify_free", "gap_report", "_alive"):
+        for name in ("verify_free", "gap_report", "_alive", "_removal_events"):
             monkeypatch.setattr(process, name, must_not_run)
         monkeypatch.setattr(gpcore, "_first_gp", must_not_run)  # contains_gp's search
         assert cli.main([a.format(**paths) for a in argv]) == 3

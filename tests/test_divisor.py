@@ -138,17 +138,17 @@ class TestPointwise:
 
 class TestSieve:
     def test_d2_prefix(self):
-        table = divisor.sieve(divisor.Interval(0, 12), divisor.DivisorSpec.single(2))
-        assert list(table.values) == [1, 1, 1, 2, 1, 1, 1, 2, 2, 1, 1, 2]
+        values = divisor.sieve(divisor.Interval(0, 12), divisor.DivisorSpec.single(2))
+        assert list(values) == [1, 1, 1, 2, 1, 1, 1, 2, 2, 1, 1, 2]
 
     def test_d1_single_cell(self):
-        table = divisor.sieve(divisor.Interval(5, 1), divisor.DivisorSpec.single(1))
-        assert list(table.values) == [4]
+        values = divisor.sieve(divisor.Interval(5, 1), divisor.DivisorSpec.single(1))
+        assert list(values) == [4]
 
     def test_segment_matches_pointwise_high(self):
         x, h = 10**6, 10**3
-        table = divisor.sieve(divisor.Interval(x, h), divisor.DivisorSpec.pair(3, 2))
-        for n, v in enumerate(table.values, x + 1):
+        values = divisor.sieve(divisor.Interval(x, h), divisor.DivisorSpec.pair(3, 2))
+        for n, v in enumerate(values, x + 1):
             assert v == divisor.d_ij(n, 3, 2)
 
     def test_window_budget(self):
@@ -166,8 +166,8 @@ class TestSieve:
     @example(window=(0, 100), spec=divisor.DivisorSpec.single(64))  # d_64 is 1 below 2**64
     @settings(max_examples=120, deadline=None)
     def test_segment_matches_pointwise_random(self, window, spec):
-        table = divisor.sieve(divisor.Interval(*window), spec)
-        for n, v in enumerate(table.values, window[0] + 1):
+        values = divisor.sieve(divisor.Interval(*window), spec)
+        for n, v in enumerate(values, window[0] + 1):
             assert v == spec.of(n)
 
     @given(window=windows(), spec=SPECS, esc=st.sampled_from([1, 3, 16]))
@@ -181,10 +181,10 @@ class TestSieve:
         D = 0.35
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(divisor, "_ESC", esc)
-            table = divisor.sieve(divisor.Interval(x, h), spec)
+            values = divisor.sieve(divisor.Interval(x, h), spec)
             pair = (spec.i, spec.j) if spec.k is None else (1, spec.k)
             S = divisor.sum_S(divisor.Interval(x, h), *pair, D)
-        for n, v in enumerate(table.values, x + 1):
+        for n, v in enumerate(values, x + 1):
             assert v == spec.of(n)
         assert S == math.fsum(math.exp(-D * divisor.d_ij(n, *pair)) for n in range(x + 1, x + h + 1))
 
@@ -195,15 +195,15 @@ class TestSieve:
     def test_window_ending_near_int64_max(self, h, slack, spec, cube_root_primes):
         x = INT64_MAX - h - slack
         limits = DEFAULT_LIMITS._replace(mertens_max_x=2**32)
-        table = divisor.sieve(divisor.Interval(x, h), spec, limits)
-        for n, v in enumerate(table.values, x + 1):
+        values = divisor.sieve(divisor.Interval(x, h), spec, limits)
+        for n, v in enumerate(values, x + 1):
             assert v == _cube_part_value(n, spec, cube_root_primes)
 
     def test_powers_of_two_up_to_2_62(self):
         limits = DEFAULT_LIMITS._replace(mertens_max_x=2**32)
         spec = divisor.DivisorSpec.single(3)
-        table = divisor.sieve(divisor.Interval(2**62 - 1, 1), spec, limits)
-        assert table.values == (62 // 3 + 1,)
+        values = divisor.sieve(divisor.Interval(2**62 - 1, 1), spec, limits)
+        assert values == (62 // 3 + 1,)
 
     # the float guess overshoots r**k - 1 at r = 1000003 and undershoots
     # r**k at r = 10**17 + 3, so both correction loops run
@@ -241,18 +241,18 @@ class TestKernelAnchors:
     """
 
     def test_cofactor_path_window(self):  # s = 1: cofactors above sqrt(x+h)
-        table = divisor.sieve(divisor.Interval(10**15, 2000), divisor.DivisorSpec.single(1))
-        assert _sha256_of_repr(table.values) == (
+        values = divisor.sieve(divisor.Interval(10**15, 2000), divisor.DivisorSpec.single(1))
+        assert _sha256_of_repr(values) == (
             "72a5739c96c50a02a9ca1acb9bfb976876d7856a23fd9b0e57e439200d5d0faf")
 
     def test_pair_window(self):
-        table = divisor.sieve(divisor.Interval(10**12, 10**5), divisor.DivisorSpec.pair(3, 1))
-        assert _sha256_of_repr(table.values) == (
+        values = divisor.sieve(divisor.Interval(10**12, 10**5), divisor.DivisorSpec.pair(3, 1))
+        assert _sha256_of_repr(values) == (
             "70c3cdc8ed479b7c1cc008b2e5ff0b696e6fa8aead4400eba423575cb6485d7d")
 
     def test_window_with_255_values(self):  # the most distinct values one byte can code
-        table = divisor.sieve(divisor.Interval(10**9, 10**6), divisor.DivisorSpec.pair(1, 1))
-        assert _sha256_of_repr(table.values) == (
+        values = divisor.sieve(divisor.Interval(10**9, 10**6), divisor.DivisorSpec.pair(1, 1))
+        assert _sha256_of_repr(values) == (
             "94b4d0d7802d1d3795565291253ed43c00355e05598980d09b21341461df381f")
 
     def test_primes_upto_1e6(self):

@@ -324,19 +324,29 @@ class TestSurvival:
             process.survival_probability(K6, 100, 10, 10, 1)
 
     def test_basic_run(self):
-        est = process.survival_probability(K3, 1000, 5, 200, 3)
-        assert est.trials == 200 and 0 <= est.empties <= 200
-        assert est.estimate == est.empties / 200
+        empties = process.survival_probability(K3, 1000, 5, 200, 3)
+        assert 0 <= empties <= 200
 
     def test_trial_prefix_stability(self):
         a = process.survival_probability(K3, 500, 4, 50, 9)
         b = process.survival_probability(K3, 500, 4, 100, 9)
         # doubling trials keeps the first 50 outcomes; empties can only grow
-        assert b.empties >= a.empties
+        assert b >= a
 
     def test_low_x_rejected(self):
         with pytest.raises(DomainError):
             process.survival_probability(K6, 10, 2, 10, 1)
+
+    @pytest.mark.parametrize("h, trials", [(0, 5), (5, 0)])
+    def test_nonpositive_h_or_trials_rejected(self, h, trials):
+        with pytest.raises(DomainError, match="^h and trials must be positive$"):
+            process.survival_probability(K3, 100, h, trials, 1)
+
+    def test_window_end_at_the_horizon_budget(self):
+        limits = DEFAULT_LIMITS._replace(process_max_n=105)
+        assert 0 <= process.survival_probability(K3, 100, 5, 3, 1, limits) <= 3
+        with pytest.raises(ResourceLimit, match=r"^x \+ h exceeds budget 105$"):
+            process.survival_probability(K3, 100, 6, 3, 1, limits)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
@@ -347,17 +357,17 @@ class TestSurvival:
     # the event-based estimator must agree with literally running the
     # process and inspecting the window
     def test_matches_full_runs_3gp(self):
-        est = process.survival_probability(K3, 100, 6, 60, 5)
-        assert est.empties == full_run_empties(K3, 100, 6, 60, 5)
+        empties = process.survival_probability(K3, 100, 6, 60, 5)
+        assert empties == full_run_empties(K3, 100, 6, 60, 5)
 
     def test_matches_full_runs_6gp(self):
-        est = process.survival_probability(K6, 400, 10, 60, 7)
-        assert est.empties == full_run_empties(K6, 400, 10, 60, 7)
+        empties = process.survival_probability(K6, 400, 10, 60, 7)
+        assert empties == full_run_empties(K6, 400, 10, 60, 7)
 
     @pytest.mark.parametrize("x,h", [(200, 3), (1000, 2), (5000, 2)])
     def test_matches_full_runs_5gp(self, x, h):
-        est = process.survival_probability(K5, x, h, 40, 1)
-        assert est.empties == full_run_empties(K5, x, h, 40, 1)
+        empties = process.survival_probability(K5, x, h, 40, 1)
+        assert empties == full_run_empties(K5, x, h, 40, 1)
 
     @given(kind=st.sampled_from([K6, K5, K3]), seed=st.integers(0, 2**64 - 1),
            x=st.one_of(st.integers(16, 3000), st.integers(65000, 70000)),
@@ -390,7 +400,7 @@ class TestSurvival:
         monkeypatch.setattr(process, "_removal_events",
                             lambda kind, n: calls.append(n) or events(kind, n))
         # trials stop at the first survivor, far before the end of the window
-        assert process.survival_probability(K3, 16, 10**6, 20, 1).empties == 0
+        assert process.survival_probability(K3, 16, 10**6, 20, 1) == 0
         assert 0 < len(calls) == len(set(calls)) < 1000
         # 6-GP windows are separated by h < sqrt(x) alone, so they build lazily too
         calls.clear()

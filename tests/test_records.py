@@ -29,11 +29,6 @@ RECORDS = {
         "DivisorSpec(k=None, i=3, j=2)",
     ),
     "Interval": (lambda: divisor.Interval(10, 5), "Interval(x=10, h=5)"),
-    "DivisorTable": (
-        lambda: divisor.sieve(divisor.Interval(10, 3), divisor.DivisorSpec.single(2)),
-        "DivisorTable(interval=Interval(x=10, h=3), spec=DivisorSpec(k=2, i=None, j=None), "
-        "values=(1, 2, 1))",
-    ),
     "ProcessConfig": (
         lambda: P.ProcessConfig(P.ProcessKind.FIVE_GP, 100, 7),
         "ProcessConfig(kind=<ProcessKind.FIVE_GP: '5gp'>, n=100, seed=7)",
@@ -44,14 +39,8 @@ RECORDS = {
         "removed=(4, 9), dropped_outside=2)",
     ),
     "GapReport": (
-        lambda: P.GapReport(0.5, array("q", [16, 18]), [2], 2, 0.25),
-        "GapReport(epsilon=0.5, survivors=array('q', [16, 18]), lengths=[2], max_gap=2, "
-        "fitted_c_eps=0.25)",
-    ),
-    "SurvivalEstimate": (
-        lambda: P.SurvivalEstimate(P.ProcessKind.THREE_GP_INT, 100, 5, 50, 3),
-        "SurvivalEstimate(kind=<ProcessKind.THREE_GP_INT: '3gp-int'>, x=100, h=5, trials=50, "
-        "empties=3)",
+        lambda: P.GapReport(array("q", [16]), [2], 2, 0.25),
+        "GapReport(starts=array('q', [16]), lengths=[2], max_gap=2, fitted_c_eps=0.25)",
     ),
     "SearchInstance": (
         lambda: syndetic.build_instance(4),
