@@ -227,7 +227,7 @@ def cmd_process_run(args):
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(process._canonical_json(doc))
+                fh.write(process.run_to_json(run_))
         except OSError as exc:
             raise GPFreeError(f"cannot write {args.out}: {exc.strerror}") from None
         return {"written": args.out, "counts": doc["counts"], "config": doc["config"]}

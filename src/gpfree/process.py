@@ -331,7 +331,7 @@ def run_to_dict(run_: ProcessRun) -> dict:
             "n": run_.config.n,
             "seed": run_.config.seed,
         },
-        "removed": list(run_.removed),
+        "removed": run_.removed,  # the run's own tuple; json.dumps writes it as an array
         "counts": {
             "removed": len(run_.removed),
             "survivors": run_.config.n - len(run_.removed),
@@ -341,18 +341,17 @@ def run_to_dict(run_: ProcessRun) -> dict:
 
 
 def run_to_json(run_: ProcessRun) -> str:
-    """Canonical (sorted-key, no-whitespace) JSON; byte-stable per config."""
-    return _canonical_json(run_to_dict(run_))
+    """The run file's one writer: sorted-key, no-whitespace JSON, byte-stable per config."""
+    return json.dumps(run_to_dict(run_), sort_keys=True, separators=(",", ":"))
 
 
-def _canonical_json(doc: dict) -> str:
-    """run_to_json's text, from a run_to_dict document a caller already holds."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def run_from_dict(d: dict, limits: Limits = DEFAULT_LIMITS) -> ProcessRun:
-    """Inverse of run_to_dict; DomainError unless the document is consistent, then
-    ResourceLimit if its horizon exceeds `limits.process_max_n`."""
+def run_from_json(s: str, limits: Limits = DEFAULT_LIMITS) -> ProcessRun:
+    """The run file's one reader, inverse of run_to_json; DomainError unless the text is a
+    consistent run document, then ResourceLimit if its horizon exceeds `limits.process_max_n`."""
+    try:
+        d = json.loads(s)
+    except ValueError as exc:  # JSONDecodeError, or an int literal beyond int()'s digit limit
+        raise DomainError(f"malformed run file: {exc}") from None
     try:
         cfg = ProcessConfig(ProcessKind(d["config"]["kind"]), d["config"]["n"], d["config"]["seed"])
         removed, counts = d["removed"], d["counts"]
@@ -373,13 +372,6 @@ def run_from_dict(d: dict, limits: Limits = DEFAULT_LIMITS) -> ProcessRun:
     if cfg.n > limits.process_max_n:
         raise ResourceLimit(f"run horizon {cfg.n} exceeds budget {limits.process_max_n}")
     return ProcessRun(cfg, tuple(removed), dropped)
-
-
-def run_from_json(s: str, limits: Limits = DEFAULT_LIMITS) -> ProcessRun:
-    try:
-        return run_from_dict(json.loads(s), limits)
-    except ValueError as exc:  # JSONDecodeError, or an int literal beyond int()'s digit limit
-        raise DomainError(f"malformed run file: {exc}") from None
 
 
 def run_to_bitmap(run_: ProcessRun) -> bytes:

@@ -46,8 +46,7 @@ _CONFLICTS = {2: "element-both-forced", 3: "triple-complete"}  # by failed claus
 # the CNF of export_dimacs plus its pairing mode; triples: (x, y, z) with x < y < z, y*y == x*z
 SearchInstance = namedtuple("SearchInstance", "n pairing pairs triples")
 
-# prunings: cause -> count; elapsed_ms covers engine set-up and search
-SearchStats = namedtuple("SearchStats", "nodes prunings elapsed_ms")
+SearchStats = namedtuple("SearchStats", "nodes prunings")  # prunings: cause -> count
 
 # selection: the counterexample, present iff the verdict is COUNTEREXAMPLE
 SearchOutcome = namedtuple("SearchOutcome", "verdict stats selection", defaults=(None,))
@@ -223,16 +222,15 @@ def search(
     """Decide the instance.
 
     The search is serial; `workers` is accepted and has no effect.  Verdict,
-    counterexample witness and statistics are deterministic, apart from
-    elapsed_ms.  Counterexamples are re-checked through verify_selection
-    before being returned; one that fails the check raises RuntimeError.
+    counterexample witness and statistics are deterministic.  Counterexamples
+    are re-checked through verify_selection before being returned; one that
+    fails the check raises RuntimeError.
     """
-    t0 = time.perf_counter()
     eng = _Engine(instance, limits)
     eng.preassign_unconstrained()
     verdict = eng.dfs()
     sel = eng.selection() if verdict == COUNTEREXAMPLE else None
-    stats = SearchStats(eng.nodes, eng.prunings, (time.perf_counter() - t0) * 1000.0)
+    stats = SearchStats(eng.nodes, eng.prunings)
     if sel is not None:
         witness = verify_selection(instance, sel)
         if witness is not None:

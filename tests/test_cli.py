@@ -507,6 +507,14 @@ class TestCleanExits:
         assert code == 3 and not out.exists()
         self._err_line(capsys)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_final_write_exits_1(self, capsys):
+        # /dev/full opens before the run, then refuses the run file's text
+        code = cli.main(["process", "run", "--kind", "6gp", "--n", "100", "--seed", "1",
+                         "--out", "/dev/full"])
+        assert code == 1
+        assert self._err_line(capsys) == "error: cannot write /dev/full: No space left on device\n"
+
     @pytest.mark.parametrize("argv, loads_numpy", [
         (["gp", "decompose", "--terms", "2,6,18"], False),
         (["bounds", "envelope", "--epsilon", "0.1", "--c-eps", "1", "--from", "1e6",

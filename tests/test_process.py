@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import tracemalloc
 from collections import defaultdict
@@ -466,7 +467,7 @@ class TestSerialization:
         if "no_counts" in edit:
             del d["counts"]
         with pytest.raises(DomainError):
-            process.run_from_dict(d)
+            process.run_from_json(json.dumps(d))
 
     def test_truncated_json_rejected(self):
         with pytest.raises(DomainError):

@@ -5,7 +5,6 @@ Limits adds its survival_max_trials field at the end.
 """
 
 import math
-import re
 from array import array
 
 import pytest
@@ -47,13 +46,13 @@ RECORDS = {
         "SearchInstance(n=4, pairing='disjoint', pairs=((1, 2), (3, 4)), triples=((1, 2, 4),))",
     ),
     "SearchStats": (
-        lambda: syndetic.SearchStats(0, {}, 0.0),
-        "SearchStats(nodes=0, prunings={}, elapsed_ms=X)",
+        lambda: syndetic.SearchStats(0, {}),
+        "SearchStats(nodes=0, prunings={})",
     ),
     "SearchOutcome": (
         lambda: syndetic.search(syndetic.build_instance(4)),
-        "SearchOutcome(verdict='counterexample', stats=SearchStats(nodes=1, prunings={}, "
-        "elapsed_ms=X), selection=(1, 3))",
+        "SearchOutcome(verdict='counterexample', stats=SearchStats(nodes=1, prunings={}), "
+        "selection=(1, 3))",
     ),
 }
 
@@ -61,7 +60,7 @@ RECORDS = {
 @pytest.mark.parametrize("name", RECORDS)
 def test_repr(name):
     make, want = RECORDS[name]
-    assert re.sub(r"elapsed_ms=[0-9.e-]+", "elapsed_ms=X", repr(make())) == want
+    assert repr(make()) == want
 
 
 @pytest.mark.parametrize("name", RECORDS)
