@@ -289,9 +289,8 @@ def survival_probability(
     time a trial reaches n and kept for later trials, so a trial that finds
     a survivor early costs only the events up to it.
 
-    For the 6-GP process the window must satisfy h < sqrt(x): that is the
-    hypothesis under which no progression has both middle terms inside the
-    window, making the per-element removal events independent.
+    A progression whose removable terms both lie in the window is one coin key, so
+    each trial is the seeded run restricted to (x, x+h], for every kind and every h.
     """
     if x < 16:
         raise DomainError(f"x must be >= 16, got {x}")
@@ -303,10 +302,6 @@ def survival_probability(
         raise ResourceLimit(f"x + h exceeds budget {limits.process_max_n}")
     if trials > limits.survival_max_trials:
         raise ResourceLimit(f"trials {trials} exceeds budget {limits.survival_max_trials}")
-    # h < sqrt(x) keeps out middle terms n1 = a*b^3*c^2 < n2 = a*b^2*c^3 of one 6-GP:
-    # 1/b <= c/b - 1 < x^(-1/2), but b^5 < n1 < 2x gives 1/b > (2x)^(-1/5) >= x^(-1/2)
-    if kind is ProcessKind.SIX_GP and h * h >= x:
-        raise DomainError(f"6gp window needs h < sqrt(x); got h={h}, x={x}")
 
     window = range(x + 1, x + h + 1)
     events_of = cache(partial(_removal_events, kind))

@@ -231,10 +231,12 @@ class TestProcess:
         assert p == {"kind": "5gp", "x": 10**5, "h": 2, "trials": 10,
                      "empties": empties, "estimate": empties / 10}
 
-    def test_survival_bad_window_exit_1(self, capsys):
-        code, _ = run_cli(capsys, "process", "survival", "--kind", "6gp",
-                          "--x", "100", "--h", "50", "--trials", "10", "--seed", "2")
-        assert code == 1
+    def test_survival_wide_6gp_window_exit_0(self, capsys):
+        # h*h >= x: the window holds a squarefree n, which no 6-GP event removes
+        doc = run_json(capsys, "process", "survival", "--kind", "6gp",
+                       "--x", "100", "--h", "50", "--trials", "10", "--seed", "2")
+        empties = full_run_empties(process.ProcessKind.SIX_GP, 100, 50, 10, 2)
+        assert doc["payload"]["empties"] == empties == 0
 
 
 class TestSyndetic:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpfree import bounds, gpcore, process
+from gpfree import bounds, divisor, gpcore, process
 from gpfree.errors import DomainError, ResourceLimit
 from gpfree.limits import DEFAULT_LIMITS
 from oracles import brute_first_gp, brute_progressions, brute_removal
@@ -262,6 +262,25 @@ class TestHittingProperty:
                 assert {a * r, a * r * r} & removed
 
 
+class TestSquarefreeCore:
+    """Every 6-GP event of n needs c^2 | n with c >= 2, so 6gp removes no
+    squarefree n (d_2(n) == 1) whatever the seed; the biased kinds do."""
+
+    @pytest.fixture(scope="class")
+    def d2(self):
+        return divisor.sieve(divisor.Interval(0, 10**5), divisor.DivisorSpec(k=2))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_6gp_removes_no_squarefree_n(self, d2, seed):
+        removed = process.run(cfg(K6, 10**5, seed)).removed
+        assert removed and [n for n in removed if d2[n - 1] == 1] == []
+
+    @pytest.mark.parametrize("kind,count", [(K5, 17044), (K3, 16965)])
+    def test_biased_kinds_remove_squarefree_n(self, d2, kind, count):
+        removed = process.run(cfg(kind, 10**5, 1)).removed
+        assert sum(d2[n - 1] == 1 for n in removed) == count
+
+
 class TestGapReport:
     def _fake_run(self, n, survivors):
         removed = tuple(sorted(set(range(1, n + 1)) - set(survivors)))
@@ -319,10 +338,17 @@ class TestGapReport:
             gc.enable() if was else gc.disable()
 
 
+def fires(kind, seed, n):
+    """Whether one of n's removal events fires under the coins of `seed`."""
+    return any(((process.coin_bits(seed, *key) >> 11) * 2.0**-53 < thr) == below
+               for key, thr, below in process._removal_events(kind, n))
+
+
 class TestSurvival:
-    def test_6gp_wide_window_rejected(self):
-        with pytest.raises(DomainError):
-            process.survival_probability(K6, 100, 10, 10, 1)
+    def test_6gp_wide_window_matches_full_runs(self):
+        # h*h >= x: the window holds a squarefree n, which no 6-GP event removes
+        empties = process.survival_probability(K6, 100, 10, 10, 1)
+        assert empties == full_run_empties(K6, 100, 10, 10, 1) == 0
 
     def test_basic_run(self):
         empties = process.survival_probability(K3, 1000, 5, 200, 3)
@@ -379,9 +405,7 @@ class TestSurvival:
         # run removes it; above x = 65536 some 5-GPs have terms beyond 2**64
         removed = frozenset(process.run(cfg(kind, x + h, seed)).removed)
         for n in range(x + 1, x + h + 1):
-            fired = any(((process.coin_bits(seed, *key) >> 11) * 2.0**-53 < thr) == below
-                        for key, thr, below in process._removal_events(kind, n))
-            assert fired == (n in removed), n
+            assert fires(kind, seed, n) == (n in removed), n
 
     @pytest.mark.parametrize("kind,k,positions", [(K6, 6, (2, 3)), (K5, 5, (1, 2)), (K3, 3, (1, 2))])
     def test_event_keys_are_the_progressions_through_n(self, kind, k, positions):
@@ -403,10 +427,38 @@ class TestSurvival:
         # trials stop at the first survivor, far before the end of the window
         assert process.survival_probability(K3, 16, 10**6, 20, 1) == 0
         assert 0 < len(calls) == len(set(calls)) < 1000
-        # 6-GP windows are separated by h < sqrt(x) alone, so they build lazily too
+        # a 6-GP window builds lazily too
         calls.clear()
         process.survival_probability(K6, 10**4, 99, 20, 1)
         assert 0 < len(calls) == len(set(calls)) < 99
+
+
+class TestFairFamilyRow:
+    """A fair k-GP family is one `_FAMILY` row: the fair 8-GP family, patched
+    into the 6gp row, runs, verifies and estimates with no other change."""
+
+    @pytest.fixture(autouse=True)
+    def eight_gp(self, monkeypatch):
+        monkeypatch.setitem(process._FAMILY, K6, (8, gpcore.RATIONAL, (4, 3), (3, 4), False))
+
+    def test_run_is_8gp_free(self):
+        run = process.run(cfg(K6, 10**5, 2))
+        assert len(run.removed) == 10731
+        assert process.verify_free(run) is None
+        assert gpcore.contains_gp(run.survivors(), 8) is None
+
+    @pytest.mark.parametrize("x,h", [(16, 60), (1000, 80), (5000, 40)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_events_remove_what_run_removes(self, x, h, seed):
+        removed = frozenset(process.run(cfg(K6, x + h, seed)).removed)
+        for n in range(x + 1, x + h + 1):
+            assert fires(K6, seed, n) == (n in removed), n
+
+    # 80 = 2^4 * 5 and 81 = 3^4 both carry a cube; (100, 110] has h*h >= x
+    @pytest.mark.parametrize("x,h,want", [(79, 2, 18), (100, 10, 0)])
+    def test_survival_matches_full_runs(self, x, h, want):
+        empties = process.survival_probability(K6, x, h, 30, 4)
+        assert empties == full_run_empties(K6, x, h, 30, 4) == want
 
 
 def full_run_empties(kind, x, h, trials, seed):
