@@ -13,9 +13,9 @@ list of distinct values and applies each prime power as one strided slice
 translated through a 256-byte code table.  `sieve` maps the codes back to
 ints; `sum_S` counts them and sums count * exp(-D*value) exactly, as integer
 significands rounded once, the rounding `mertens_sum` uses too.  The prime
-base, the primes <= sqrt(x+h), is picked from the segments of one odd-only
-bytearray sieve, bounded by `Limits.mertens_max_x`.  Only `mertens_sum`, which
-sums 1/p over the same segments as arrays, imports numpy (inside the
+base, the primes up to (x+h)**(1/max(s,2)) (s as in `sieve`), comes from one
+odd-only bytearray sieve, bounded by `Limits.mertens_max_x`.  `mertens_sum`,
+which sums 1/p over its segments as arrays, alone imports numpy (inside the
 function), so `divisor table` and `sum` start without it.  The pointwise d_k,
 d_ij and DivisorSpec.of are one weight-driven product over `factorize`.
 """
@@ -204,12 +204,15 @@ def _sieve_codes(
         )
     x, h = interval.x, interval.h
     n0, end = x + 1, x + h
-    if isqrt(end) > limits.mertens_max_x:
-        raise ResourceLimit(
-            f"prime base up to isqrt({end}) = {isqrt(end)} exceeds budget "
-            f"{limits.mertens_max_x}"
-        )
     W = [spec.weight(a) for a in range(64)]  # n < 2**63
+    # Only primes with p**s | n change the value, s the least exponent whose
+    # weight exceeds 1 (64 if none does: base 1, no primes).  With s == 1 a
+    # prime above sqrt(x+h) can still divide n once; `prod` collects the
+    # sieved part of n so that such a cofactor shows.
+    s = next((a for a, w in enumerate(W) if w > 1), len(W))
+    base = _iroot(end, max(s, 2))
+    if base > limits.mertens_max_x:
+        raise ResourceLimit(f"prime base up to {base} exceeds budget {limits.mertens_max_x}")
     codes = bytearray(h)  # code 0 is the value 1
     values: list[int | None] = [1]
     index = {1: 0}
@@ -242,25 +245,20 @@ def _sieve_codes(
             t = new.find(_ESC, t + 1)
         return new
 
-    if max(W) > 1:
-        # Only primes with p**s | n change the value.  With s == 1 a prime above
-        # sqrt(x+h) can still divide n once; `prod` collects the sieved part of n
-        # so that such a cofactor shows.
-        s = next(a for a, w in enumerate(W) if w > 1)
-        prod = [1] * h if s == 1 else None
-        for p in primes_upto(_iroot(end, max(s, 2))):
-            # the multiples of p**s, p**(s+1), ... in the window are nested slices
-            a, q = s, p**s
-            while (o := (-n0) % q) < h:  # so q <= x+h
-                if W[a] != W[a - 1]:
-                    codes[o::q] = scale(codes[o::q], range(o, h, q), a)
-                if prod is not None:
-                    prod[o::q] = map(mul, prod[o::q], repeat(p))
-                a, q = a + 1, q * p
-        if prod is not None:
-            where = list(compress(range(h), map(ne, prod, range(n0, end + 1))))
-            for t, c in zip(where, scale(bytearray(map(codes.__getitem__, where)), where, 1)):
-                codes[t] = c
+    prod = [1] * h if s == 1 else None
+    for p in primes_upto(base):
+        # the multiples of p**s, p**(s+1), ... in the window are nested slices
+        a, q = s, p**s
+        while (o := (-n0) % q) < h:  # so q <= x+h
+            if W[a] != W[a - 1]:
+                codes[o::q] = scale(codes[o::q], range(o, h, q), a)
+            if prod is not None:
+                prod[o::q] = map(mul, prod[o::q], repeat(p))
+            a, q = a + 1, q * p
+    if prod is not None:
+        where = list(compress(range(h), map(ne, prod, range(n0, end + 1))))
+        for t, c in zip(where, scale(bytearray(map(codes.__getitem__, where)), where, 1)):
+            codes[t] = c
     return codes, values + [None] * (256 - len(values)), escaped
 
 
@@ -275,12 +273,12 @@ def sieve(interval: Interval, spec: DivisorSpec, limits: Limits = DEFAULT_LIMITS
     its value times W(a)/W(a-1); a table entry is filled the first time a
     slice holds its code.  Once codes 0..254 are taken, further values share
     the escape code 255, and their positions keep exact ints.
-    For s = 1, whatever is left of n after dividing out the primes <=
-    sqrt(x+h) is a prime with exponent 1; a per-n list of the sieved part of
-    n finds it.
+    The prime base is the primes up to (x+h)**(1/max(s,2)).  For s = 1,
+    whatever is left of n after dividing out the primes <= sqrt(x+h) is a
+    prime with exponent 1; a per-n list of the sieved part of n finds it.
 
-    Raises ResourceLimit when h exceeds `limits.sieve_max_len` or the prime
-    base sqrt(x+h) exceeds `limits.mertens_max_x`.
+    Raises ResourceLimit when h exceeds `limits.sieve_max_len` or the top of
+    the prime base exceeds `limits.mertens_max_x`.
     """
     codes, values, escaped = _sieve_codes(interval, spec, limits)
     out = map(values.__getitem__, codes)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -220,6 +221,18 @@ class TestSieve:
             divisor.sum_S(divisor.Interval(10**6 - 1, 1), 2, 3, LOG2, small)
         divisor.sum_S(divisor.Interval(10**6 - 2, 1), 2, 3, LOG2, small)
 
+    def test_first_runs_of_non_squarefree_integers(self):  # OEIS A045882
+        """The first run of r consecutive n with d_2(n) > 1 starts at these n."""
+        d2 = divisor.sieve(divisor.Interval(0, 1_100_000), divisor.DivisorSpec(k=2))
+        first, n = {}, 1
+        for squareful, run in groupby(d2, key=lambda v: v > 1):
+            length = sum(1 for _ in run)
+            if squareful:
+                for r in range(1, length + 1):
+                    first.setdefault(r, n)
+            n += length
+        assert [first[r] for r in range(1, 9)] == [4, 8, 48, 242, 844, 22020, 217070, 1092747]
+
     def test_primes_upto_matches_trial_division(self):
         assert divisor.primes_upto(3000).tolist() == _primes_between(2, 3001)
         for limit in (0, 1, 2, 3, 4):
@@ -227,6 +240,44 @@ class TestSieve:
         # crosses the segment boundaries of the odd-only generator
         limit = 3 * 2**20 + 5
         assert np.array_equal(divisor.primes_upto(limit), _classic_sieve(limit))
+
+
+# windows beyond 1e16, where sqrt(x+h) exceeds the default base budget of 1e8
+# but the cube root, all that a spec with s >= 3 walks, does not
+CUBE_WINDOWS = [(10**17 - 1, 300), (INT64_MAX - 300, 300)]
+
+
+class TestPrimeBaseAtDefaultBudget:
+    @pytest.mark.parametrize("x, h", CUBE_WINDOWS)
+    @pytest.mark.parametrize("spec", [
+        divisor.DivisorSpec.single(3), divisor.DivisorSpec.single(5), divisor.DivisorSpec.pair(3, 4),
+    ])
+    def test_cube_specs_sieve(self, x, h, spec, cube_root_primes):
+        values = divisor.sieve(divisor.Interval(x, h), spec)
+        assert max(values) > 1
+        assert values == tuple(_cube_part_value(n, spec, cube_root_primes) for n in range(x + 1, x + h + 1))
+
+    @pytest.mark.parametrize("x, h", CUBE_WINDOWS)
+    @pytest.mark.parametrize("i, j", [(3, 3), (3, 4)])
+    def test_cube_specs_sum(self, x, h, i, j, cube_root_primes):
+        spec, D = divisor.DivisorSpec.pair(i, j), 0.693147
+        direct = math.fsum(math.exp(-D * _cube_part_value(n, spec, cube_root_primes))
+                           for n in range(x + 1, x + h + 1))
+        assert divisor.sum_S(divisor.Interval(x, h), i, j, D) == direct
+
+    def test_d3_at_1e17(self):  # 10**17 = 2**17 * 5**17
+        assert divisor.sieve(divisor.Interval(10**17 - 1, 3), divisor.DivisorSpec.single(3)) == (36, 1, 1)
+
+    @pytest.mark.parametrize("spec", [divisor.DivisorSpec.single(64), divisor.DivisorSpec.pair(64, 70)])
+    def test_all_ones_spec_walks_no_primes(self, spec):  # every weight is 1 below 2**64
+        assert divisor.sieve(divisor.Interval(10**17, 3), spec) == (1, 1, 1)
+
+    @pytest.mark.parametrize("spec", [
+        divisor.DivisorSpec.single(1), divisor.DivisorSpec.single(2), divisor.DivisorSpec.pair(1, 3),
+    ])
+    def test_square_root_base_still_refused(self, spec):  # s <= 2 needs the primes <= sqrt(x+h)
+        with pytest.raises(ResourceLimit, match="316227766 exceeds budget 100000000"):
+            divisor.sieve(divisor.Interval(10**17, 3), spec)
 
 
 def _sha256_of_repr(obj) -> str:
