@@ -19,7 +19,6 @@ standard library alone, on a bytearray survivor mask.
 from __future__ import annotations
 
 import json
-import math
 from array import array
 from collections import namedtuple
 from enum import Enum
@@ -29,7 +28,7 @@ from math import isqrt
 from operator import ge, sub
 from typing import Optional
 
-from .bounds import gap_envelope, p_default
+from .bounds import _check_positive, gap_envelope, p_default
 from .errors import DomainError, ResourceLimit
 from .gpcore import (
     INTEGER,
@@ -233,8 +232,7 @@ def gap_report(run_: ProcessRun, epsilon: float) -> GapReport:
     fitted_c_eps is the smallest C_eps for which every measured gap satisfies
     gap <= gap_envelope(t_i, epsilon, C_eps).
     """
-    if not 0 < epsilon < math.inf:
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
+    _check_positive("epsilon", epsilon)
     alive = _alive(run_)
     alive[:16] = bytes(16)
     t = array("q", compress(range(len(alive)), alive))
