@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpfree import gpcore
+from gpfree import divisor, gpcore
 from gpfree.errors import DomainError, ResourceLimit
 from gpfree.limits import DEFAULT_LIMITS
 
@@ -194,6 +194,27 @@ class TestContains:
             gpcore.contains_gp(members, 3, gpcore.RATIONAL, DEFAULT_LIMITS._replace(process_max_n=199))
         w = gpcore.contains_gp(members, 3, limits=DEFAULT_LIMITS._replace(process_max_n=200))
         assert w.terms() == [1, 2, 4]
+
+
+class TestPowerFreeIntegers:
+    """A cross-module check between `divisor` and `gpcore`.  A k-GP a*b**(k-1),
+    ..., a*c**(k-1) of (k-1)-free integers needs b = 1, since b**(k-1) divides
+    the first term, and then c**(k-1) divides the last: the (k-1)-free
+    integers hold no k-GP.  The k-free integers hold 1, 2, ..., 2**(k-1)."""
+
+    N = 10**4
+
+    def _free(self, k):  # the n <= N with d_k(n) == 1, that is, k-free
+        values = divisor.sieve(divisor.Interval(0, self.N), divisor.DivisorSpec(k=k))
+        return [n for n, v in enumerate(values, 1) if v == 1]
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_k_minus_1_free_integers_hold_no_k_gp(self, k):
+        assert gpcore.contains_gp(self._free(k - 1), k) is None
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_k_free_integers_hold_powers_of_two(self, k):
+        assert gpcore.contains_gp(self._free(k), k).terms() == [2**i for i in range(k)]
 
 
 class TestTripleEnumeration:
